@@ -9,8 +9,9 @@
 //! removes a 5% wave through `remove_nodes` (per-insert binary search and
 //! shift); `sharded_wave_n*` removes the same wave through
 //! `remove_nodes_sharded` (partitioned bulk insertion with one deferred
-//! sort per touched list, frozen-degree prune planning, sequential
-//! reconciliation). Both sharded paths honor the ambient thread budget,
+//! sort per touched list, then a shard-parallel frozen-degree prune
+//! plan-and-apply whose reverse half-edges drain through per-shard
+//! outboxes). Both sharded paths honor the ambient thread budget,
 //! which defaults to 1 — on a single-core container the comparison shows
 //! the batch-insert/deferred-sort and shard-locality win alone. Medians
 //! for n ∈ {10^4, 10^5} are recorded in `BENCH_overlay_shard.json` at the

@@ -8,7 +8,7 @@
 //! drives it through takedown *waves*: every wave removes a fixed fraction
 //! of the surviving population in one
 //! [`DdsrOverlay::remove_nodes_sharded`] batch (shard-partitioned
-//! coalesced repair and prune planning, sequential reconciliation), the
+//! coalesced repair, then a shard-parallel prune plan-and-apply), the
 //! fig4/fig5-style churn pattern at populations the per-victim path could
 //! not sustain. Worker threads steal shards under the ambient thread
 //! budget — `--threads-per-item` now governs construction and repair

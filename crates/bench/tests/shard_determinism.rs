@@ -73,3 +73,31 @@ fn coarser_shard_grids_change_the_stream_but_stay_deterministic() {
     assert_eq!(with_shards("8"), with_shards("8"));
     assert_eq!(with_shards("64"), with_shards("64"));
 }
+
+/// SHA-256 of the serialized summary of a gated `scale` run: `n=60000`
+/// sits above `SHARD_GATE_MIN_NODES`, so the part runs on the default
+/// 64-shard grid with sharded construction and three partitioned waves.
+/// The thread-count tests above only compare runs of the same build with
+/// each other; this pin compares against history, so a kernel rewrite
+/// that shifts a single prune drop or RNG draw fails here even when it
+/// is thread-invariant. Any intended change to the `scale` stream must
+/// update this hash together with `CACHE_FORMAT_VERSION`.
+const GATED_SCALE_SUMMARY_SHA256: &str =
+    "b96f97ace9ac820a837a4ee7b325e673b39c55e0d1f8f29bc9892a0c07ca7cfd";
+
+#[test]
+fn gated_scale_summary_matches_the_pinned_hash() {
+    let params = ScenarioParams::with_seed(2015)
+        .with_override("n", "60000")
+        .with_override("waves", "3");
+    let summary = Runner::new(params)
+        .threads_per_item(ThreadsPerItem::Fixed(2))
+        .run(&scale_only())
+        .to_json();
+    let digest = onion_crypto::sha256::Sha256::digest_array(summary.as_bytes());
+    assert_eq!(
+        onion_crypto::hex::encode(&digest),
+        GATED_SCALE_SUMMARY_SHA256,
+        "the gated scale summary changed bytes"
+    );
+}

@@ -226,33 +226,7 @@ impl Graph {
     /// produces. Returns the number of edges actually added (the number of
     /// `true`s that loop would have returned).
     pub fn add_edges_bulk(&mut self, edges: &[(NodeId, NodeId)]) -> usize {
-        let mut half: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);
-        for &(a, b) in edges {
-            if a == b || !self.contains(a) || !self.contains(b) {
-                continue;
-            }
-            half.push((a, b));
-            half.push((b, a));
-        }
-        half.sort_unstable();
-        let mut added_half = 0usize;
-        let mut i = 0;
-        while i < half.len() {
-            let node = half[i].0;
-            let mut j = i;
-            while j < half.len() && half[j].0 == node {
-                j += 1;
-            }
-            let list = self.slots[node.0].as_mut().expect("validated present");
-            added_half += merge_sorted_candidates(list, &half[i..j]);
-            i = j;
-        }
-        debug_assert!(
-            added_half.is_multiple_of(2),
-            "half-edge insertion must be symmetric"
-        );
-        self.edge_count += added_half / 2;
-        added_half / 2
+        self.add_edges_bulk_partitioned(edges, &[], 1)
     }
 
     /// [`add_edges_bulk`](Self::add_edges_bulk), partitioned across the
@@ -273,8 +247,179 @@ impl Graph {
         bounds: &[usize],
         threads: usize,
     ) -> usize {
-        // Interior cut points, clamped to the slab and deduplicated; the
-        // implicit outer bounds are 0 and id_bound.
+        self.assert_u32_ids();
+        let cuts = self.interior_cuts(bounds);
+        let owner = |id: NodeId| cuts.partition_point(|&c| c <= id.0);
+        // Bucket each valid half-edge, as a compact (list holder, peer)
+        // pair, by the range owning its list.
+        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); cuts.len() + 1];
+        for &(a, b) in edges {
+            if a == b || !self.contains(a) || !self.contains(b) {
+                continue;
+            }
+            buckets[owner(a)].push((a.0 as u32, b.0 as u32));
+            buckets[owner(b)].push((b.0 as u32, a.0 as u32));
+        }
+        let added_half: usize = for_each_range(
+            &mut self.slots,
+            &cuts,
+            threads,
+            buckets,
+            |_, start, chunk, mut bucket| {
+                bucket.sort_unstable();
+                bucket
+                    .chunk_by(|x, y| x.0 == y.0)
+                    .map(|run| {
+                        let list = chunk[run[0].0 as usize - start]
+                            .as_mut()
+                            .expect("validated present");
+                        merge_sorted_candidates(list, run)
+                    })
+                    .sum::<usize>()
+            },
+        )
+        .into_iter()
+        .sum();
+        debug_assert!(
+            added_half.is_multiple_of(2),
+            "half-edge insertion must be symmetric"
+        );
+        self.edge_count += added_half / 2;
+        added_half / 2
+    }
+
+    /// Removes the edges each node of `nodes` selects for itself,
+    /// partitioned across the id ranges delimited by `bounds` (normalized
+    /// as in [`add_edges_bulk_partitioned`](Self::add_edges_bulk_partitioned);
+    /// range `r` holds the ids with exactly `r` interior cut points at or
+    /// below them) and fanned over up to `threads` workers. Returns the
+    /// number of edges removed.
+    ///
+    /// Each range builds its private state once with `range_state(r)` and
+    /// then visits its share of `nodes` in ascending order, skipping
+    /// absent ones. For each node, `select(state, neighbors, drops)` sees
+    /// the node's neighbor list **as it stood when the call began** and
+    /// pushes the peers to drop onto the empty `drops`. The node's own
+    /// half-edges go at once; the reverse half-edges are queued for the
+    /// range owning the peer and removed in a second parallel pass, in
+    /// ascending source-range order. So no selection sees another node's
+    /// drops, an edge selected by both endpoints is removed (and counted)
+    /// once, and peers that are not neighbors are ignored. Everything a
+    /// range does depends only on the prior graph, `nodes` and its own
+    /// state, so the result is **byte-identical at any thread count**.
+    /// The graph is asymmetric only between the two passes, inside this
+    /// call.
+    ///
+    /// # Panics
+    /// Panics if `nodes` is not strictly ascending (checked in debug
+    /// builds) or the slab holds more than `u32::MAX` ids.
+    pub fn remove_edges_partitioned<S>(
+        &mut self,
+        nodes: &[NodeId],
+        bounds: &[usize],
+        threads: usize,
+        range_state: impl Fn(usize) -> S + Sync,
+        select: impl Fn(&mut S, &[NodeId], &mut Vec<NodeId>) + Sync,
+    ) -> usize {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "nodes must be strictly ascending"
+        );
+        self.assert_u32_ids();
+        let cuts = self.interior_cuts(bounds);
+        let ranges = cuts.len() + 1;
+        let owner = |id: NodeId| cuts.partition_point(|&c| c <= id.0);
+        // Every range's share of the ascending `nodes` is one contiguous run.
+        let mut shares: Vec<&[NodeId]> = Vec::with_capacity(ranges);
+        let mut rest = nodes;
+        for &cut in &cuts {
+            let (share, tail) = rest.split_at(rest.partition_point(|n| n.0 < cut));
+            shares.push(share);
+            rest = tail;
+        }
+        shares.push(rest);
+        // Pass 1: every range selects and drops its own half-edges, and
+        // queues each reverse half as a compact (list holder, peer to
+        // remove) pair in the outbox of the range owning the holder.
+        let selected = for_each_range(
+            &mut self.slots,
+            &cuts,
+            threads,
+            shares,
+            |range, start, chunk, share| {
+                let mut state = range_state(range);
+                let mut drops: Vec<NodeId> = Vec::new();
+                let mut outboxes: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ranges];
+                let mut removed = 0usize;
+                for &node in share {
+                    let Some(list) = chunk[node.0 - start].as_mut() else {
+                        continue;
+                    };
+                    drops.clear();
+                    select(&mut state, list, &mut drops);
+                    for &peer in &drops {
+                        if let Ok(pos) = list.binary_search(&peer) {
+                            list.remove(pos);
+                            removed += 1;
+                            outboxes[owner(peer)].push((peer.0 as u32, node.0 as u32));
+                        }
+                    }
+                }
+                (removed, outboxes)
+            },
+        );
+        // Pass 2: every range drains the reverse half-edges addressed to
+        // it, in ascending source-range order.
+        let mut removed_half = 0usize;
+        let mut inboxes: Vec<Vec<Vec<(u32, u32)>>> = vec![Vec::new(); ranges];
+        for (removed, outboxes) in selected {
+            removed_half += removed;
+            for (inbox, outbox) in inboxes.iter_mut().zip(outboxes) {
+                inbox.push(outbox);
+            }
+        }
+        removed_half += for_each_range(
+            &mut self.slots,
+            &cuts,
+            threads,
+            inboxes,
+            |_, start, chunk, inbox| {
+                let mut removed = 0usize;
+                for (holder, peer) in inbox.into_iter().flatten() {
+                    let list = chunk[holder as usize - start]
+                        .as_mut()
+                        .expect("a selected peer is live");
+                    if let Ok(pos) = list.binary_search(&NodeId(peer as usize)) {
+                        list.remove(pos);
+                        removed += 1;
+                    }
+                }
+                removed
+            },
+        )
+        .into_iter()
+        .sum::<usize>();
+        debug_assert!(
+            removed_half.is_multiple_of(2),
+            "half-edge removal must be symmetric"
+        );
+        self.edge_count -= removed_half / 2;
+        removed_half / 2
+    }
+
+    /// The partitioned passes store ids as `u32` in their per-range
+    /// buffers; a slab past that range is refused rather than truncated.
+    fn assert_u32_ids(&self) {
+        assert!(
+            u32::try_from(self.slots.len()).is_ok(),
+            "ids must fit in u32"
+        );
+    }
+
+    /// The interior cut points of a caller-supplied partition, clamped to
+    /// the slab, sorted and deduplicated; the implicit outer bounds are 0
+    /// and [`id_bound`](Self::id_bound).
+    fn interior_cuts(&self, bounds: &[usize]) -> Vec<usize> {
         let mut cuts: Vec<usize> = bounds
             .iter()
             .copied()
@@ -282,74 +427,7 @@ impl Graph {
             .collect();
         cuts.sort_unstable();
         cuts.dedup();
-        let ranges = cuts.len() + 1;
-        let threads = threads.clamp(1, ranges);
-        if ranges == 1 || threads == 1 {
-            return self.add_edges_bulk(edges);
-        }
-        let owner = |id: usize| cuts.partition_point(|&c| c <= id);
-        // Bucket each valid half-edge by the range owning its list.
-        let mut buckets: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); ranges];
-        for &(a, b) in edges {
-            if a == b || !self.contains(a) || !self.contains(b) {
-                continue;
-            }
-            buckets[owner(a.0)].push((a, b));
-            buckets[owner(b.0)].push((b, a));
-        }
-        // Split the slab at the cut points and hand each worker its
-        // statically assigned ranges (round-robin by range index, so the
-        // work distribution — and the output — never depends on timing).
-        // One range's task: its first slot index, its slab chunk, and
-        // the half-edges destined for lists it owns.
-        type RangeTask<'a> = (usize, &'a mut [Option<Vec<NodeId>>], Vec<(NodeId, NodeId)>);
-        let mut tasks: Vec<Vec<RangeTask<'_>>> = Vec::with_capacity(threads);
-        tasks.resize_with(threads, Vec::new);
-        let mut rest: &mut [Option<Vec<NodeId>>] = &mut self.slots;
-        let mut start = 0usize;
-        for (range, bucket) in buckets.into_iter().enumerate() {
-            let end = cuts.get(range).copied().unwrap_or(start + rest.len());
-            let (chunk, tail) = rest.split_at_mut(end - start);
-            tasks[range % threads].push((start, chunk, bucket));
-            rest = tail;
-            start = end;
-        }
-        let added_half: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
-                .into_iter()
-                .map(|assigned| {
-                    scope.spawn(move || {
-                        let mut added = 0usize;
-                        for (start, chunk, mut bucket) in assigned {
-                            bucket.sort_unstable();
-                            let mut i = 0;
-                            while i < bucket.len() {
-                                let node = bucket[i].0;
-                                let mut j = i;
-                                while j < bucket.len() && bucket[j].0 == node {
-                                    j += 1;
-                                }
-                                let list =
-                                    chunk[node.0 - start].as_mut().expect("validated present");
-                                added += merge_sorted_candidates(list, &bucket[i..j]);
-                                i = j;
-                            }
-                        }
-                        added
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bulk-insert worker panicked"))
-                .sum()
-        });
-        debug_assert!(
-            added_half.is_multiple_of(2),
-            "half-edge insertion must be symmetric"
-        );
-        self.edge_count += added_half / 2;
-        added_half / 2
+        cuts
     }
 
     /// Concatenates per-range graphs into one slab: part `p`'s node `i`
@@ -468,21 +546,73 @@ impl Graph {
     }
 }
 
+/// Splits `slots` at the ascending interior `cuts` and runs
+/// `task(range, first_id, chunk, input)` once per range with that range's
+/// own slab chunk and its entry of `inputs` (one per range). Ranges go to
+/// up to `threads` scoped workers round-robin by range index, so the work
+/// distribution never depends on timing; the results come back in range
+/// order.
+fn for_each_range<T: Send, O: Send>(
+    slots: &mut [Option<Vec<NodeId>>],
+    cuts: &[usize],
+    threads: usize,
+    inputs: Vec<T>,
+    task: impl Fn(usize, usize, &mut [Option<Vec<NodeId>>], T) -> O + Sync,
+) -> Vec<O> {
+    debug_assert_eq!(inputs.len(), cuts.len() + 1, "one input per range");
+    let threads = threads.clamp(1, inputs.len());
+    type RangeTask<'a, T> = (usize, usize, &'a mut [Option<Vec<NodeId>>], T);
+    let mut assigned: Vec<Vec<RangeTask<'_, T>>> = Vec::with_capacity(threads);
+    assigned.resize_with(threads, Vec::new);
+    let mut rest = slots;
+    let mut start = 0usize;
+    for (range, input) in inputs.into_iter().enumerate() {
+        let end = cuts.get(range).copied().unwrap_or(start + rest.len());
+        let (chunk, tail) = rest.split_at_mut(end - start);
+        assigned[range % threads].push((range, start, chunk, input));
+        rest = tail;
+        start = end;
+    }
+    let run = |tasks: Vec<RangeTask<'_, T>>| -> Vec<(usize, O)> {
+        tasks
+            .into_iter()
+            .map(|(range, start, chunk, input)| (range, task(range, start, chunk, input)))
+            .collect()
+    };
+    let mut done: Vec<(usize, O)> = if threads == 1 {
+        assigned.into_iter().flat_map(run).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = assigned
+                .into_iter()
+                .map(|tasks| scope.spawn(|| run(tasks)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("range worker panicked"))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(range, _)| range);
+    done.into_iter().map(|(_, out)| out).collect()
+}
+
 /// Merges the peer halves of a sorted half-edge run `(node, peer)*` into
 /// `node`'s sorted neighbor list, skipping peers already present and
 /// duplicates within the run, and returns how many were appended. The one
 /// deferred sort per touched list happens here — candidates arrive sorted,
 /// so existing membership is a binary search over the original prefix and
 /// the final sort sees an almost-sorted vector.
-fn merge_sorted_candidates(list: &mut Vec<NodeId>, run: &[(NodeId, NodeId)]) -> usize {
+fn merge_sorted_candidates(list: &mut Vec<NodeId>, run: &[(u32, u32)]) -> usize {
     let old_len = list.len();
     let mut appended = 0usize;
-    let mut prev: Option<NodeId> = None;
+    let mut prev: Option<u32> = None;
     for &(_, peer) in run {
         if prev == Some(peer) {
             continue;
         }
         prev = Some(peer);
+        let peer = NodeId(peer as usize);
         if list[..old_len].binary_search(&peer).is_err() {
             list.push(peer);
             appended += 1;

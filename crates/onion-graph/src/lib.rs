@@ -247,6 +247,63 @@ mod property_tests {
             }
         }
 
+        /// Partitioned per-node edge removal equals selecting every drop
+        /// against the prior graph and then applying them with
+        /// `remove_edge` — same graph, each edge counted once even when
+        /// both endpoints select it — at every thread count, for arbitrary
+        /// cut vectors, tombstoned entries in `nodes`, and selections
+        /// that name non-neighbors or repeat a peer.
+        #[test]
+        fn partitioned_removal_equals_select_then_remove(
+            ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
+            picks in prop::collection::vec(0usize..40, 0..30),
+            cuts in prop::collection::vec(0usize..40, 0..6),
+            salt in 0usize..5,
+        ) {
+            use crate::graph::NodeId;
+            let base = churned_graph(&ops);
+            let bound = base.id_bound().max(1);
+            let mut nodes: Vec<NodeId> = picks.iter().map(|&p| NodeId(p % bound)).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            // Drop every peer whose id hits the salt (two such peers drop
+            // each other), plus a repeat of the first and a non-neighbor.
+            let select = |neighbors: &[NodeId], drops: &mut Vec<NodeId>| {
+                drops.extend(neighbors.iter().filter(|p| p.0 % 5 == salt));
+                drops.extend(neighbors.first());
+                drops.extend(neighbors.first());
+                drops.push(NodeId(bound + 7));
+            };
+
+            let mut expected = base.clone();
+            let mut expected_removed = 0usize;
+            let mut drops = Vec::new();
+            for &node in &nodes {
+                let Some(neighbors) = base.neighbors(node) else { continue };
+                drops.clear();
+                select(neighbors, &mut drops);
+                for &peer in &drops {
+                    if expected.remove_edge(node, peer) {
+                        expected_removed += 1;
+                    }
+                }
+            }
+
+            for threads in [1usize, 3, 8] {
+                let mut partitioned = base.clone();
+                let removed = partitioned.remove_edges_partitioned(
+                    &nodes,
+                    &cuts,
+                    threads,
+                    |_| (),
+                    |_, neighbors, drops| select(neighbors, drops),
+                );
+                prop_assert_eq!(removed, expected_removed, "threads={}", threads);
+                prop_assert_eq!(&partitioned, &expected, "threads={}", threads);
+                prop_assert!(partitioned.check_invariants().is_ok());
+            }
+        }
+
         /// Degree centrality of a k-regular graph is exactly k/(n-1) and the
         /// diameter of a connected instance is sane.
         #[test]

@@ -9,7 +9,6 @@
 //! requester.
 
 use onion_graph::graph::NodeId;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -76,15 +75,71 @@ pub enum PeeringDecision {
 /// This is the one shared implementation of the rule — the peering
 /// acceptance policy below, the overlay's sequential prune loop
 /// (`DdsrOverlay::prune_node`) and the sharded frozen-degree prune
-/// planner (`shard::sharded_wave_repair`) all select victims through it,
-/// and all consume exactly one `choose` draw per selection so the
-/// sequential RNG streams are unchanged by the sharing.
+/// planner (`shard::sharded_wave_repair`) all select victims through
+/// [`highest_degree_index`], which allocates nothing and consumes exactly
+/// one `gen_range(0..ties)` draw per selection — the same draw `choose`
+/// over the collected ties would make, so the RNG streams match the
+/// collect-then-`choose` form it replaced.
 pub fn highest_degree_victim<R: Rng + ?Sized>(
     peers: &[(NodeId, usize)],
     rng: &mut R,
 ) -> Option<NodeId> {
-    let max_degree = peers.iter().map(|&(_, d)| d).max()?;
-    let candidates: Vec<NodeId> = peers
+    highest_degree_index(peers, rng).map(|i| peers[i].0)
+}
+
+/// The position in `peers` of [`highest_degree_victim`]'s pick: count the
+/// entries tied at the maximum degree, draw one index below that count,
+/// and return the position of that tie in list order. `None` for an
+/// empty list. Callers that keep a scratch list of remaining peers use
+/// the position to take the victim out without a search.
+///
+/// No `d_min` pre-filter is needed in front of it: if any peer sits above
+/// `d_min`, the maximum does too, so the whole tie class survives such a
+/// filter in the same order and the pick cannot change.
+pub fn highest_degree_index<R: Rng + ?Sized>(
+    peers: &[(NodeId, usize)],
+    rng: &mut R,
+) -> Option<usize> {
+    let (mut max_degree, mut ties) = (0usize, 0usize);
+    for &(_, d) in peers {
+        if ties == 0 || d > max_degree {
+            (max_degree, ties) = (d, 1);
+        } else if d == max_degree {
+            ties += 1;
+        }
+    }
+    if ties == 0 {
+        return None;
+    }
+    let nth = rng.gen_range(0..ties);
+    peers
+        .iter()
+        .enumerate()
+        .filter(|&(_, &(_, d))| d == max_degree)
+        .nth(nth)
+        .map(|(i, _)| i)
+}
+
+/// The pre-filter-plus-`choose` victim rule that [`highest_degree_index`]
+/// replaced, kept as the golden reference for equivalence tests: drop the
+/// peers at or below `d_min` unless that leaves none, collect the
+/// max-degree ties, and `choose` among them.
+#[cfg(test)]
+pub(crate) fn reference_victim<R: Rng + ?Sized>(
+    peers: &[(NodeId, usize)],
+    d_min: usize,
+    rng: &mut R,
+) -> Option<NodeId> {
+    use rand::seq::SliceRandom;
+    let above_min: Vec<(NodeId, usize)> =
+        peers.iter().copied().filter(|&(_, d)| d > d_min).collect();
+    let eligible = if above_min.is_empty() {
+        peers.to_vec()
+    } else {
+        above_min
+    };
+    let max_degree = eligible.iter().map(|&(_, d)| d).max()?;
+    let candidates: Vec<NodeId> = eligible
         .iter()
         .filter(|&&(_, d)| d == max_degree)
         .map(|&(id, _)| id)
@@ -186,6 +241,36 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "all tied peers must be reachable");
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The allocation-free picker, with no `d_min` pre-filter,
+            /// picks the same victim as the filter-plus-`choose` rule and
+            /// leaves the RNG in the same state, for any peer list and any
+            /// `d_min`.
+            #[test]
+            fn picker_equals_filter_plus_choose(
+                degrees in prop::collection::vec(0usize..8, 0..24),
+                d_min in 0usize..10,
+                seed in 0u64..1_000_000,
+            ) {
+                let list = peers(&degrees);
+                let mut new_rng = StdRng::seed_from_u64(seed);
+                let mut old_rng = StdRng::seed_from_u64(seed);
+                prop_assert_eq!(
+                    highest_degree_victim(&list, &mut new_rng),
+                    reference_victim(&list, d_min, &mut old_rng)
+                );
+                prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+            }
+        }
     }
 
     #[test]

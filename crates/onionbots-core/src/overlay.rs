@@ -226,8 +226,10 @@ impl DdsrOverlay {
 
     /// Removes a whole wave with [shard-partitioned](crate::shard) repair
     /// and pruning: the coalesced repair edges go through one partitioned
-    /// bulk insertion and the prune pass plans per owning shard against
-    /// frozen degrees, with a sequential ascending-shard reconciliation.
+    /// bulk insertion, and each owning shard then plans and applies its
+    /// survivors' prune drops in parallel against frozen degrees, with the
+    /// reverse half-edges drained per destination shard in a second
+    /// parallel pass.
     /// Semantics match [`Self::remove_nodes`] at the wave level (see
     /// [`sharded_wave_repair`](crate::shard::sharded_wave_repair) for the
     /// documented frozen-degree divergence in pruning), the caller's RNG
@@ -259,45 +261,33 @@ impl DdsrOverlay {
 
     /// Applies the pruning rule to one node: while its degree exceeds
     /// `d_max`, drop the neighbor with the highest degree (ties broken at
-    /// random), provided that neighbor would not be pushed below `d_min`
-    /// while alternatives exist.
+    /// random). A neighbor at or below `d_min` is thereby spared whenever
+    /// an alternative sits above `d_min` — the maximum then does too — and
+    /// is only shed when no neighbor does: the paper's unconditional
+    /// fallback, "only applicable as long as there are enough surviving
+    /// nodes".
+    ///
+    /// Dropping a victim changes only this node's and the victim's degree,
+    /// so the remaining peers' degrees are read once up front.
     fn prune_node<R: Rng + ?Sized>(&mut self, node: NodeId, rng: &mut R) {
-        loop {
-            let Some(deg) = self.graph.degree(node) else {
+        let Some(neighbors) = self.graph.neighbors(node) else {
+            return;
+        };
+        let excess = neighbors.len().saturating_sub(self.config.d_max);
+        if excess == 0 {
+            return;
+        }
+        let mut remaining: Vec<(NodeId, usize)> = neighbors
+            .iter()
+            .filter_map(|&n| self.graph.degree(n).map(|d| (n, d)))
+            .collect();
+        for _ in 0..excess {
+            let Some(i) = crate::maintenance::highest_degree_index(&remaining, rng) else {
                 return;
-            };
-            if deg <= self.config.d_max {
-                return;
-            }
-            let neighbors: Vec<(NodeId, usize)> = match self.graph.neighbors(node) {
-                Some(set) => set
-                    .iter()
-                    .filter_map(|&n| self.graph.degree(n).map(|d| (n, d)))
-                    .collect(),
-                None => return,
-            };
-            // A victim at degree <= d_min would be pushed below d_min by the
-            // edge removal, so it is only eligible when no neighbor sits
-            // above d_min — the paper's unconditional fallback, "only
-            // applicable as long as there are enough surviving nodes".
-            let eligible: Vec<(NodeId, usize)> = {
-                let above_min: Vec<(NodeId, usize)> = neighbors
-                    .iter()
-                    .copied()
-                    .filter(|&(_, d)| d > self.config.d_min)
-                    .collect();
-                if above_min.is_empty() {
-                    neighbors.clone()
-                } else {
-                    above_min
-                }
-            };
-            let victim = match crate::maintenance::highest_degree_victim(&eligible, rng) {
-                Some(v) => v,
-                None => return,
             };
             // Removing the highest-degree peer "maintains the reachability of
             // all nodes": that peer has the most alternative paths.
+            let (victim, _) = remaining.remove(i);
             self.graph.remove_edge(node, victim);
             self.stats.edges_pruned += 1;
         }

@@ -8,8 +8,10 @@
 //! Worker threads (bounded by [`thread_budget`]) merely *steal shards*;
 //! each shard's work is a pure function of the grid, the frozen graph
 //! state and the shard's own RNG stream, and cross-shard effects are
-//! applied in one sequential ascending-shard reconciliation pass — so the
-//! result is **byte-identical at any worker-thread count**.
+//! either applied by one sequential pass (the construction merge) or
+//! queued per destination shard and drained in ascending source-shard
+//! order (wave pruning) — so the result is **byte-identical at any
+//! worker-thread count**.
 //!
 //! # The sanctioned RNG-splitting idiom
 //!
@@ -45,9 +47,10 @@
 //! dedicated merge stream — the assembled overlay is still exactly
 //! `k`-regular. Wave repair partitions the coalesced repair-edge
 //! insertions by owning shard (through
-//! [`Graph::add_edges_bulk_partitioned`]) and the prune pass by owning
-//! shard against frozen degrees, with the actual cross-shard edge
-//! removals replayed sequentially in ascending shard/id order.
+//! [`Graph::add_edges_bulk_partitioned`]) and plans and applies the
+//! prune pass by owning shard against frozen degrees (through
+//! [`Graph::remove_edges_partitioned`]), with the reverse half-edges of
+//! each drop drained per destination shard in a second parallel pass.
 
 use onion_graph::budget::thread_budget;
 use onion_graph::generators::random_regular;
@@ -57,6 +60,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::config::DdsrConfig;
+use crate::maintenance::highest_degree_index;
 
 /// Default number of logical shards. The grid — not the machine — defines
 /// the RNG streams, so this stays fixed across hosts; 64 shards keep
@@ -352,13 +356,14 @@ pub struct WaveOutcome {
     pub removed: usize,
     /// Repair edges inserted by the partitioned bulk pass.
     pub edges_added: u64,
-    /// Edges dropped by the reconciled prune pass.
+    /// Edges dropped by the prune pass; an edge both endpoints drop
+    /// counts once.
     pub edges_pruned: u64,
 }
 
 /// Removes one takedown wave with shard-partitioned repair and pruning.
 ///
-/// Four phases, mirroring [`DdsrOverlay::remove_nodes`] semantics at the
+/// Three phases, mirroring [`DdsrOverlay::remove_nodes`] semantics at the
 /// wave level (all victims die before any repair runs; each affected
 /// survivor is pruned once):
 ///
@@ -369,22 +374,26 @@ pub struct WaveOutcome {
 ///    wave's candidates go through one
 ///    [`Graph::add_edges_bulk_partitioned`] call — per-shard half-edge
 ///    insertion with one deferred sort per touched list.
-/// 3. **Prune planning** (parallel by shard): affected survivors are
-///    partitioned by owning shard; each shard walks its nodes in
-///    ascending id order with its own stream split from the wave base via
-///    [`shard_stream_seed`], choosing victims against **frozen**
-///    post-repair degrees (the graph is read-only during this phase).
+/// 3. **Prune plan-and-apply** (parallel by shard, two passes, through
+///    [`Graph::remove_edges_partitioned`]): the post-repair degrees are
+///    snapshotted once; each shard walks its affected survivors in
+///    ascending id order on its own stream split from the wave base via
+///    [`shard_stream_seed`], picks victims against the **frozen** degrees
+///    with [`highest_degree_index`] (one draw per drop, no allocation per
+///    drop) and drops those half-edges from its own lists at once; the
+///    reverse half-edges go to per-destination-shard outboxes that a
+///    second parallel pass drains in ascending source-shard order.
 ///    Unlike the sequential pass, one survivor's drops do not lower the
 ///    degree another survivor sees — a documented divergence that keeps
 ///    shards independent; each node still sheds enough edges on its own
-///    to return to `d_max`.
-/// 4. **Reconciliation** (sequential): planned removals are applied in
-///    ascending shard-then-id order; a drop both endpoints planned is
-///    applied (and counted) once.
+///    to return to `d_max`. An edge both endpoints drop counts once.
 ///
 /// The wave advances the caller's RNG by exactly one `u64` draw, and all
 /// parallel work is keyed by shard — output is byte-identical at any
 /// thread count.
+///
+/// [`DdsrOverlay::remove_nodes`]: crate::DdsrOverlay::remove_nodes
+/// [`highest_degree_index`]: crate::maintenance::highest_degree_index
 pub fn sharded_wave_repair<R: Rng + ?Sized>(
     graph: &mut Graph,
     config: &DdsrConfig,
@@ -393,6 +402,23 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> WaveOutcome {
     let wave_base = rng.next_u64(); // the ONE draw on the caller's stream
+    let (mut outcome, affected) = takedown_and_repair(graph, config, victims, grid);
+    if config.pruning {
+        outcome.edges_pruned = prune_affected(graph, config, &affected, grid, wave_base);
+    }
+    outcome
+}
+
+/// Phases 1 and 2 of [`sharded_wave_repair`]: removes the victims, bulk
+/// inserts the coalesced repair edges, and returns the outcome so far
+/// with the ascending, deduplicated affected survivors (empty when
+/// pruning is off).
+fn takedown_and_repair(
+    graph: &mut Graph,
+    config: &DdsrConfig,
+    victims: &[NodeId],
+    grid: &ShardGrid,
+) -> (WaveOutcome, Vec<NodeId>) {
     let mut outcome = WaveOutcome::default();
 
     // Phase 1: takedown.
@@ -421,91 +447,69 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
             }
         }
     }
-    let threads = thread_budget().clamp(1, MAX_SHARD_THREADS);
     outcome.edges_added =
-        graph.add_edges_bulk_partitioned(&candidates, grid.bounds(), threads) as u64;
+        graph.add_edges_bulk_partitioned(&candidates, grid.bounds(), shard_threads()) as u64;
+    drop(candidates);
 
-    // Phases 3 and 4: pruning.
+    let mut affected = Vec::new();
     if config.pruning {
-        let mut affected: Vec<NodeId> = neighborhoods
+        affected = neighborhoods
             .into_iter()
             .flatten()
             .filter(|&u| graph.contains(u))
             .collect();
         affected.sort_unstable();
         affected.dedup();
-        // Partition the (already ascending) survivors by owning shard.
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); grid.shards()];
-        for u in affected {
-            by_shard[grid.owner(u)].push(u);
-        }
-        // Phase 3: plan drops per shard against the frozen graph.
-        let frozen: &Graph = graph;
-        let planned = run_on_shards(grid.shards(), |s| {
-            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
-            let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
-            for &u in &by_shard[s] {
-                plan_prune(frozen, config, u, &mut shard_rng, &mut drops);
-            }
-            drops
-        });
-        // Phase 4: apply in ascending shard order (plans within a shard
-        // are already in ascending node order).
-        for drops in planned.into_iter().flatten() {
-            for (u, victim) in drops {
-                if graph.remove_edge(u, victim) {
-                    outcome.edges_pruned += 1;
-                }
-            }
-        }
     }
-    outcome
+    (outcome, affected)
 }
 
-/// Plans the prune drops for one survivor against frozen degrees: while
-/// the (locally simulated) degree exceeds `d_max`, drop the
-/// highest-degree remaining neighbor — sparing neighbors at or below
-/// `d_min` while higher-degree alternatives remain, with random
-/// tie-breaks from the shard stream — exactly the sequential rule, except
-/// that neighbor degrees are the frozen post-repair ones.
-fn plan_prune(
-    graph: &Graph,
+/// Phase 3 of [`sharded_wave_repair`]: prunes every affected survivor
+/// back to `d_max` against the frozen post-repair degrees, planning and
+/// applying per owning shard, and returns the number of edges dropped.
+fn prune_affected(
+    graph: &mut Graph,
     config: &DdsrConfig,
-    u: NodeId,
-    rng: &mut StdRng,
-    out: &mut Vec<(NodeId, NodeId)>,
-) {
-    let Some(neighbors) = graph.neighbors(u) else {
-        return;
-    };
-    let mut degree = neighbors.len();
-    if degree <= config.d_max {
-        return;
-    }
-    let mut remaining: Vec<(NodeId, usize)> = neighbors
-        .iter()
-        .map(|&v| (v, graph.degree(v).unwrap_or(0)))
+    affected: &[NodeId],
+    grid: &ShardGrid,
+    wave_base: u64,
+) -> u64 {
+    let degrees: Vec<u32> = (0..graph.id_bound())
+        .map(|i| graph.degree(NodeId(i)).map_or(0, |d| d as u32))
         .collect();
-    while degree > config.d_max && !remaining.is_empty() {
-        let eligible: Vec<(NodeId, usize)> = {
-            let above_min: Vec<(NodeId, usize)> = remaining
-                .iter()
-                .copied()
-                .filter(|&(_, d)| d > config.d_min)
-                .collect();
-            if above_min.is_empty() {
-                remaining.clone()
-            } else {
-                above_min
+    // Without the closing bound `n`, ids past the grid fall into the last
+    // range, exactly as `ShardGrid::owner` assigns them — so range `s` of
+    // the partitioned pass is shard `s`.
+    let cuts = &grid.bounds()[..grid.shards()];
+    let dropped = graph.remove_edges_partitioned(
+        affected,
+        cuts,
+        shard_threads(),
+        |s| {
+            let rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+            (rng, Vec::<(NodeId, usize)>::new())
+        },
+        |(rng, remaining), neighbors, drops| {
+            let excess = neighbors.len().saturating_sub(config.d_max);
+            if excess == 0 {
+                return;
             }
-        };
-        let Some(victim) = crate::maintenance::highest_degree_victim(&eligible, rng) else {
-            return;
-        };
-        out.push((u, victim));
-        remaining.retain(|&(v, _)| v != victim);
-        degree -= 1;
-    }
+            remaining.clear();
+            remaining.extend(neighbors.iter().map(|&v| (v, degrees[v.0] as usize)));
+            for _ in 0..excess {
+                let Some(i) = highest_degree_index(remaining, rng) else {
+                    return;
+                };
+                drops.push(remaining.remove(i).0);
+            }
+        },
+    );
+    dropped as u64
+}
+
+/// The worker budget for the partitioned graph passes.
+fn shard_threads() -> usize {
+    thread_budget().clamp(1, MAX_SHARD_THREADS)
 }
 
 #[cfg(test)]
@@ -696,6 +700,119 @@ mod tests {
         assert_eq!(overlay.remove_nodes_sharded(&victims, &grid, &mut rng), 0);
     }
 
+    /// The plan-and-reconcile prune pass [`prune_affected`] replaced, kept
+    /// as the golden reference: plan every shard's drops against the
+    /// frozen graph with the `d_min` pre-filter and a `choose` per drop,
+    /// then apply them with `remove_edge` in ascending shard-then-id
+    /// order, counting each edge once.
+    fn reference_prune(
+        graph: &mut Graph,
+        config: &DdsrConfig,
+        affected: &[NodeId],
+        grid: &ShardGrid,
+        wave_base: u64,
+    ) -> u64 {
+        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); grid.shards()];
+        for &u in affected {
+            by_shard[grid.owner(u)].push(u);
+        }
+        let frozen: &Graph = graph;
+        let planned = run_on_shards(grid.shards(), |s| {
+            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+            let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
+            for &u in &by_shard[s] {
+                let neighbors = frozen.neighbors(u).unwrap();
+                let mut degree = neighbors.len();
+                let mut remaining: Vec<(NodeId, usize)> = neighbors
+                    .iter()
+                    .map(|&v| (v, frozen.degree(v).unwrap_or(0)))
+                    .collect();
+                while degree > config.d_max && !remaining.is_empty() {
+                    let victim = crate::maintenance::reference_victim(
+                        &remaining,
+                        config.d_min,
+                        &mut shard_rng,
+                    )
+                    .unwrap();
+                    drops.push((u, victim));
+                    remaining.retain(|&(v, _)| v != victim);
+                    degree -= 1;
+                }
+            }
+            drops
+        });
+        let mut pruned = 0u64;
+        for drops in planned.into_iter().flatten() {
+            for (u, victim) in drops {
+                if graph.remove_edge(u, victim) {
+                    pruned += 1;
+                }
+            }
+        }
+        pruned
+    }
+
+    /// [`sharded_wave_repair`] with [`reference_prune`] as phase 3.
+    fn reference_wave(
+        graph: &mut Graph,
+        config: &DdsrConfig,
+        victims: &[NodeId],
+        grid: &ShardGrid,
+        rng: &mut StdRng,
+    ) -> WaveOutcome {
+        let wave_base = rng.next_u64();
+        let (mut outcome, affected) = takedown_and_repair(graph, config, victims, grid);
+        if config.pruning {
+            outcome.edges_pruned = reference_prune(graph, config, &affected, grid, wave_base);
+        }
+        outcome
+    }
+
+    #[test]
+    fn an_edge_both_endpoints_drop_is_removed_and_counted_once() {
+        // v's death repairs {a, u, w, b} into a clique, lifting u and w
+        // (each with two leaves) to degree 5 > d_max = 3. Each one's
+        // unique highest-degree peer is the other, so both plan to drop
+        // u–w, then one of a/b each.
+        let config = DdsrConfig {
+            d_min: 1,
+            d_max: 3,
+            pruning: true,
+        };
+        let (v, a, u, w, b) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+        let (mut base, _) = Graph::with_nodes(9);
+        for (s, t) in [(v, u), (v, w), (v, a), (v, b), (u, w)] {
+            base.add_edge(s, t);
+        }
+        for (hub, leaf) in [(u, 5), (u, 6), (w, 7), (w, 8)] {
+            base.add_edge(hub, NodeId(leaf));
+        }
+        // One shard holds both endpoints; three shards split u from w.
+        for shards in [1usize, 2, 3] {
+            let grid = ShardGrid::new(9, 2, shards);
+            let mut reference = base.clone();
+            let expected = reference_wave(
+                &mut reference,
+                &config,
+                &[v],
+                &grid,
+                &mut StdRng::seed_from_u64(4),
+            );
+            for budget in [1usize, 2, 8] {
+                let mut graph = base.clone();
+                let outcome = with_thread_budget(budget, || {
+                    let mut rng = StdRng::seed_from_u64(4);
+                    sharded_wave_repair(&mut graph, &config, &[v], &grid, &mut rng)
+                });
+                graph.check_invariants().unwrap();
+                assert!(!graph.has_edge(u, w), "shards={shards}");
+                assert_eq!(outcome.edges_pruned, 3, "u–w once, then one each");
+                assert_eq!(graph, reference, "shards={shards} budget={budget}");
+                assert_eq!(outcome, expected, "shards={shards} budget={budget}");
+            }
+        }
+    }
+
     mod property {
         use super::*;
         use proptest::prelude::*;
@@ -725,6 +842,57 @@ mod tests {
                 let (sequential, _) =
                     random_regular(n, k, &mut StdRng::seed_from_u64(shard_stream_seed(base, 0)));
                 prop_assert_eq!(sharded, sequential);
+            }
+
+            /// Golden equivalence: the partitioned plan-and-apply prune
+            /// returns the graph and outcome of the plan-and-reconcile
+            /// reference, wave after wave, at any grid and thread budget —
+            /// with victims listed twice, ghost ids past the slab, and a
+            /// neighbor of a victim in the same wave.
+            #[test]
+            fn partitioned_prune_equals_plan_and_reconcile(
+                seed in 0u64..10_000,
+                shards in 1usize..=16,
+                k in 3usize..9,
+                picks in prop::collection::vec(0usize..240, 1..30),
+            ) {
+                let n = 240usize;
+                let grid = ShardGrid::new(n, k, shards);
+                let config = DdsrConfig::for_degree(k);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (base, _) = build_sharded_regular(n, k, &grid, &mut rng);
+                let first = NodeId(picks[0]);
+                let mut wave: Vec<NodeId> = picks.iter().map(|&p| NodeId(p)).collect();
+                wave.push(first);
+                wave.push(NodeId(n + picks[0]));
+                wave.push(base.neighbors(first).unwrap()[0]);
+                // A second wave hits the pruned survivors and re-lists
+                // victims of the first.
+                let waves = [wave.clone(), wave.iter().rev().map(|v| NodeId(v.0 / 2)).collect()];
+
+                let mut reference = base.clone();
+                let mut reference_rng = rng.clone();
+                let expected: Vec<WaveOutcome> = waves
+                    .iter()
+                    .map(|w| reference_wave(&mut reference, &config, w, &grid, &mut reference_rng))
+                    .collect();
+                reference.check_invariants().unwrap();
+                for budget in [1usize, 2, 8] {
+                    let mut graph = base.clone();
+                    let mut wave_rng = rng.clone();
+                    let outcomes: Vec<WaveOutcome> = with_thread_budget(budget, || {
+                        waves
+                            .iter()
+                            .map(|w| {
+                                sharded_wave_repair(&mut graph, &config, w, &grid, &mut wave_rng)
+                            })
+                            .collect()
+                    });
+                    graph.check_invariants().unwrap();
+                    prop_assert_eq!(&outcomes, &expected, "budget={}", budget);
+                    prop_assert_eq!(&graph, &reference, "budget={}", budget);
+                    prop_assert_eq!(wave_rng.next_u64(), reference_rng.clone().next_u64());
+                }
             }
 
             /// Any grid yields an exactly k-regular graph whose bytes do
