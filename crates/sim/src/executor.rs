@@ -10,32 +10,36 @@
 //! results — lives entirely above the backend and behaves identically no
 //! matter which backend runs the misses.
 //!
-//! Two backends implement the [`Executor`] trait:
+//! Three backends implement the [`Executor`] trait:
 //!
 //! * [`LocalExecutor`] — the in-process `std::thread` fan-out the
 //!   `Runner` used to hard-wire, extracted with its behavior pinned:
 //!   sequential in-order execution for one job or one item, a shared
 //!   work queue drained by `jobs` scoped threads otherwise.
 //! * [`ProcessExecutor`] — spawns `jobs` worker subprocesses (a
-//!   [`WorkerCommand`], e.g. `run_experiments worker`) and streams
-//!   newline-delimited JSON: one [`WorkItem`] per line down a worker's
-//!   stdin, one [`PartResult`] per line back up its stdout. A worker that
-//!   dies mid-item is reaped, its in-flight item re-queued, and a fresh
-//!   worker spawned in its place; an item that keeps killing workers
-//!   fails the run after a bounded number of retries instead of looping
-//!   forever.
+//!   [`WorkerCommand`], e.g. `run_experiments worker`), each a worker
+//!   host whose channel is its stdin/stdout.
+//! * [`RemoteExecutor`](crate::remote::RemoteExecutor) — connects to a
+//!   fleet of `serve-worker` hosts over TCP.
 //!
-//! Because both backends consume the same serialized work items and
-//! per-part seeding makes results position-independent, a `RunSummary`
-//! is byte-identical across backends and worker counts — and the
-//! multi-host [`RemoteExecutor`](crate::remote::RemoteExecutor) speaks
-//! the same one-line-JSON protocol over TCP.
+//! The two out-of-process backends share one dispatcher and one serve
+//! loop ([`crate::remote`]): the same handshake and frames, the same
+//! re-queue on worker death, bounded fresh-death retries, backoff and
+//! fingerprint dedup; only how a channel is opened differs. Because
+//! every backend consumes the same serialized work items and per-part
+//! seeding makes results position-independent, a `RunSummary` is
+//! byte-identical across backends and worker counts.
+
+// Executors parse what workers send back: panicking extractors are
+// banned here (the test module opts back in, where a panic is the
+// failure report).
+#![deny(clippy::unwrap_used)]
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -45,6 +49,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::PartFingerprint;
 use crate::experiment::ExperimentReport;
 use crate::faults;
+use crate::remote::{dispatch, Link, Transport};
 use crate::scenario_api::{part_seed, Scenario, ScenarioParams};
 
 /// One self-contained unit of executable work: a single part of a single
@@ -442,92 +447,24 @@ impl WorkerCommand {
     }
 }
 
-/// A live worker subprocess with line-buffered JSON pipes.
-struct Worker {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    /// Items this incarnation answered successfully — distinguishes a
-    /// worker that dies on its very first item (the item is suspect) from
-    /// one that wears out after completing work (the item is innocent).
-    completed: usize,
-}
-
-impl Worker {
-    fn spawn(command: &WorkerCommand) -> io::Result<Self> {
-        let mut child = command
-            .command()
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            // stderr is inherited: worker panics and warnings surface on
-            // the parent's stderr, but workers never print summaries.
-            .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        Ok(Worker {
-            child,
-            stdin,
-            stdout,
-            completed: 0,
-        })
-    }
-
-    /// Sends one item and reads back its result. Any error here means the
-    /// worker is unusable (died, closed its pipes, emitted garbage) and
-    /// must be replaced.
-    fn round_trip(&mut self, item: &WorkItem) -> io::Result<PartResult> {
-        let line = serde_json::to_string(item).expect("work items serialize");
-        self.stdin.write_all(line.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
-        self.stdin.flush()?;
-        let mut response = String::new();
-        if self.stdout.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "worker closed its stdout mid-item",
-            ));
-        }
-        serde_json::from_str(&response).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("worker sent an unparseable result line: {e}"),
-            )
-        })
-    }
-
-    /// Reaps a worker that is known or suspected dead.
-    fn reap(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    /// Shuts a healthy worker down: closing stdin delivers EOF, the
-    /// worker loop exits, and the child is reaped.
-    fn shutdown(self) {
-        let Worker {
-            mut child, stdin, ..
-        } = self;
-        drop(stdin);
-        let _ = child.wait();
-    }
-}
-
-/// Default bound on how many *freshly spawned* workers one item may kill
-/// before the run fails.
+/// Default bound on how many *fresh* worker channels (a just-spawned
+/// subprocess, a just-opened host connection) one item may kill before
+/// the run fails.
 pub const DEFAULT_MAX_ITEM_RETRIES: usize = 3;
 
-/// The multi-process backend: `jobs` worker subprocesses speaking
-/// newline-delimited JSON over stdin/stdout.
+/// The multi-process backend: `jobs` worker subprocesses, each a worker
+/// host whose channel is its stdin/stdout.
 ///
-/// Each parent-side thread owns one worker and drains the shared queue
-/// through it. When a worker dies mid-item the item is re-queued and a
-/// replacement worker is spawned on demand, so a crashing worker costs
-/// retries, never results. Only deaths of *fresh* workers (no completed
-/// items since spawn) are charged to the in-flight item — that is the
-/// toxic-item signature — and an item that kills more than
-/// [`DEFAULT_MAX_ITEM_RETRIES`] fresh workers fails the run; workers
-/// that wear out after completing items can die indefinitely as long as
-/// each incarnation makes progress.
+/// Dispatch is the remote backend's loop ([`crate::remote`]): the worker
+/// answers the `Hello` handshake, then one `Assign` frame at a time. A
+/// worker that dies mid-item is reaped, the item re-queued and a fresh
+/// worker spawned on demand, so a crashing worker costs retries, never
+/// results. Only deaths of *fresh* workers (no completed items since
+/// spawn) are charged to the in-flight item — the toxic-item signature —
+/// and an item that kills more than [`DEFAULT_MAX_ITEM_RETRIES`] fresh
+/// workers fails the run. A worker that cannot be spawned fails the run
+/// on a slot's first attempt and counts as lost on a later one. Child
+/// pipes never time out, so there is no reply deadline.
 pub struct ProcessExecutor {
     command: WorkerCommand,
     jobs: usize,
@@ -560,6 +497,56 @@ impl ProcessExecutor {
     }
 }
 
+/// A worker subprocess's stdin. Dropping it kills and reaps the worker,
+/// whether it is idle (the run is done) or suspect (it just failed).
+struct WorkerStdin(ChildStdin, Child);
+
+impl Write for WorkerStdin {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
+impl Drop for WorkerStdin {
+    fn drop(&mut self) {
+        let _ = self.1.kill();
+        let _ = self.1.wait();
+    }
+}
+
+impl Transport for ProcessExecutor {
+    const OPEN_FAILED: &'static str = "cannot spawn";
+
+    fn slots(&self) -> usize {
+        self.jobs
+    }
+
+    fn peer(&self, _slot: usize) -> String {
+        format!("worker process '{}'", self.command.program.display())
+    }
+
+    fn open(&self, _slot: usize) -> io::Result<Link> {
+        let mut child = self
+            .command
+            .command()
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            // stderr is inherited: worker panics and warnings surface on
+            // the parent's stderr, but workers never print summaries.
+            .spawn()?;
+        let stdout = child.stdout.take().expect("piped stdout");
+        let stdin = child.stdin.take().expect("piped stdin");
+        Ok(Link {
+            reader: Box::new(stdout),
+            writer: Box::new(WorkerStdin(stdin, child)),
+        })
+    }
+}
+
 impl Executor for ProcessExecutor {
     fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
         self.execute_observed(items, &())
@@ -570,181 +557,9 @@ impl Executor for ProcessExecutor {
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.jobs.min(items.len());
-        let queue: Mutex<VecDeque<(WorkItem, usize)>> =
-            Mutex::new(items.into_iter().map(|item| (item, 0)).collect());
-        let results: Mutex<Vec<PartResult>> = Mutex::new(Vec::new());
-        let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        let fail = |message: String| {
-            fatal
-                .lock()
-                .expect("fatal lock")
-                .get_or_insert(ExecutorError::new(message));
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut worker: Option<Worker> = None;
-                    loop {
-                        if fatal.lock().expect("fatal lock").is_some() {
-                            break;
-                        }
-                        let next = queue.lock().expect("queue lock").pop_front();
-                        let Some((item, retries)) = next else {
-                            break;
-                        };
-                        if worker.is_none() {
-                            match Worker::spawn(&self.command) {
-                                Ok(spawned) => worker = Some(spawned),
-                                Err(e) => {
-                                    fail(format!(
-                                        "cannot spawn worker process '{}': {e}",
-                                        self.command.program.display()
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        let active = worker.as_mut().expect("worker just ensured");
-                        observer.item_started(&item);
-                        match active.round_trip(&item) {
-                            Ok(result) => {
-                                if let Some(error) = &result.error {
-                                    fail(format!(
-                                        "worker failed on {}#{}: {error}",
-                                        item.scenario_id, item.part
-                                    ));
-                                    break;
-                                }
-                                if result.scenario_id != item.scenario_id
-                                    || result.part != item.part
-                                    || result.fingerprint != item.fingerprint
-                                {
-                                    fail(format!(
-                                        "worker answered {}#{} with a result for {}#{} (protocol error)",
-                                        item.scenario_id,
-                                        item.part,
-                                        result.scenario_id,
-                                        result.part
-                                    ));
-                                    break;
-                                }
-                                active.completed += 1;
-                                observer.item_finished(&result);
-                                results.lock().expect("results lock").push(result);
-                            }
-                            Err(e) => {
-                                // The worker is gone or confused: reap it,
-                                // re-queue the in-flight item and respawn
-                                // lazily on the next loop iteration. The
-                                // death only counts against the item when
-                                // the worker died on its *first* item
-                                // since spawn — a toxic item kills every
-                                // fresh worker it meets, while a worker
-                                // wearing out after completed work says
-                                // nothing about the item it happened to
-                                // hold (charging those would fail runs
-                                // whose workers crash every N items even
-                                // though each incarnation makes progress).
-                                let fresh_death = worker
-                                    .take()
-                                    .map(|dead| {
-                                        let fresh = dead.completed == 0;
-                                        dead.reap();
-                                        fresh
-                                    })
-                                    .unwrap_or(true);
-                                let retries = if fresh_death { retries + 1 } else { retries };
-                                if retries > self.max_item_retries {
-                                    fail(format!(
-                                        "{}#{} killed {retries} fresh worker(s) ({e}); giving up",
-                                        item.scenario_id, item.part
-                                    ));
-                                    break;
-                                }
-                                eprintln!(
-                                    "warning: worker died while running {}#{} ({e}); re-queueing ({retries}/{} charged retries)",
-                                    item.scenario_id,
-                                    item.part,
-                                    self.max_item_retries
-                                );
-                                queue
-                                    .lock()
-                                    .expect("queue lock")
-                                    .push_back((item, retries));
-                            }
-                        }
-                    }
-                    if let Some(active) = worker.take() {
-                        active.shutdown();
-                    }
-                });
-            }
-        });
-        if let Some(error) = fatal.into_inner().expect("fatal lock") {
-            return Err(error);
-        }
-        Ok(results.into_inner().expect("results lock"))
+        // Child pipes never time out, so no deadline applies.
+        dispatch(self, items, observer, self.max_item_retries, None)
     }
-}
-
-/// The worker side of the process backend: read one [`WorkItem`] JSON
-/// line at a time from `input`, execute it against `resolve`, and write
-/// one [`PartResult`] JSON line to `output`.
-///
-/// An unknown scenario id becomes a per-item error result (the parent
-/// decides whether that is fatal); a malformed input line is a protocol
-/// violation and returns an error, terminating the worker. The loop exits
-/// cleanly on EOF — the parent closes stdin to shut a worker down.
-///
-/// Every read assignment hits the `worker.item` failpoint
-/// ([`faults::points::WORKER_ITEM`]) before it is answered, so a fault
-/// schedule can crash, stall or kill this worker deterministically (the
-/// bench worker translates the legacy `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
-/// hook into a `crash@N+1` spec on this point). An injected error
-/// terminates the worker without answering — the parent treats that
-/// exactly like a death and re-queues the item.
-///
-/// # Errors
-/// Returns the underlying I/O error when a pipe breaks or an input line
-/// is not a valid work item.
-pub fn serve_work_items<R, W, F>(input: R, mut output: W, resolve: F) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write,
-    F: Fn(&str) -> Option<Arc<dyn Scenario>>,
-{
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let item: WorkItem = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed work item line: {e}"),
-            )
-        })?;
-        faults::hit_io(faults::points::WORKER_ITEM)?;
-        let result = match resolve(&item.scenario_id) {
-            Some(scenario) => PartResult::ok(&item, run_work_item(&*scenario, &item)),
-            None => PartResult::failed(
-                &item,
-                format!(
-                    "scenario '{}' is not registered in this worker",
-                    item.scenario_id
-                ),
-            ),
-        };
-        let rendered = serde_json::to_string(&result).expect("part results serialize");
-        output.write_all(rendered.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
-    }
-    Ok(())
 }
 
 /// Builds one [`WorkItem`] per part of every scenario, in `(scenario,
@@ -785,9 +600,13 @@ pub fn index_by_id(scenarios: &[Arc<dyn Scenario>]) -> BTreeMap<String, usize> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::experiment::Series;
+    use crate::remote::{
+        serve_remote_connection, DispatchFrame, WorkerFrame, REMOTE_PROTOCOL_VERSION,
+    };
     use rand::Rng;
 
     struct Toy {
@@ -1028,8 +847,38 @@ mod tests {
         assert!(error.to_string().contains("stranger"), "{error}");
     }
 
+    /// Runs the stdio worker loop (what `run_experiments worker` runs)
+    /// over `input`, returning its outcome and the frames it wrote.
+    fn serve_stdio(
+        input: impl io::Read,
+        scenarios: Vec<Arc<dyn Scenario>>,
+    ) -> (io::Result<()>, Vec<WorkerFrame>) {
+        let mut output = Vec::new();
+        let outcome =
+            serve_remote_connection(input, &mut output, faults::points::WORKER_ITEM, |id| {
+                scenarios.iter().find(|s| s.id() == id).cloned()
+            });
+        let frames = std::str::from_utf8(&output)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        (outcome, frames)
+    }
+
+    fn hello_line() -> String {
+        let hello = DispatchFrame::Hello {
+            protocol: REMOTE_PROTOCOL_VERSION,
+        };
+        serde_json::to_string(&hello).unwrap() + "\n"
+    }
+
+    fn assign_line(item: &WorkItem) -> String {
+        serde_json::to_string(&DispatchFrame::Assign(item.clone())).unwrap() + "\n"
+    }
+
     #[test]
-    fn serve_work_items_executes_and_reports_per_item_status() {
+    fn stdio_worker_loop_executes_and_reports_per_item_status() {
         let params = ScenarioParams::with_seed(2);
         let scenarios = toys();
         let known = WorkItem::new(&*scenarios[0], 0, &params);
@@ -1040,23 +889,18 @@ mod tests {
         };
         let unknown = WorkItem::new(&stranger, 0, &params);
         let input = format!(
-            "{}\n\n{}\n",
-            serde_json::to_string(&known).unwrap(),
-            serde_json::to_string(&unknown).unwrap()
+            "{}{}\n{}",
+            hello_line(),
+            assign_line(&known),
+            assign_line(&unknown)
         );
-        let mut output = Vec::new();
-        let lookup = {
-            let scenarios = scenarios.clone();
-            move |id: &str| scenarios.iter().find(|s| s.id() == id).cloned()
+        let (outcome, frames) = serve_stdio(input.as_bytes(), scenarios.clone());
+        outcome.unwrap();
+        let [WorkerFrame::Welcome { .. }, WorkerFrame::Completed(first), WorkerFrame::Completed(second)] =
+            &frames[..]
+        else {
+            panic!("expected a welcome and one result per item, blank lines skipped: {frames:?}");
         };
-        serve_work_items(input.as_bytes(), &mut output, lookup).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
-        assert_eq!(
-            lines.len(),
-            2,
-            "one result line per item, blank lines skipped"
-        );
-        let first: PartResult = serde_json::from_str(lines[0]).unwrap();
         assert_eq!(first.error, None);
         assert_eq!(first.fingerprint, known.fingerprint);
         assert_eq!(
@@ -1064,19 +908,32 @@ mod tests {
             run_work_item(&*scenarios[0], &known),
             "worker output equals in-process execution"
         );
-        let second: PartResult = serde_json::from_str(lines[1]).unwrap();
         assert!(second.error.as_deref().unwrap().contains("stranger"));
     }
 
     #[test]
-    fn serve_work_items_rejects_malformed_lines() {
-        let mut output = Vec::new();
-        let error = serve_work_items("this is not json\n".as_bytes(), &mut output, |_| {
-            None::<Arc<dyn Scenario>>
-        })
-        .unwrap_err();
+    fn stdio_worker_loop_rejects_malformed_lines() {
+        let input = hello_line() + "this is not json\n";
+        let (outcome, frames) = serve_stdio(input.as_bytes(), Vec::new());
+        assert_eq!(outcome.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(
+            matches!(&frames[..], [WorkerFrame::Welcome { .. }]),
+            "nothing but the handshake answered: {frames:?}"
+        );
+    }
+
+    #[test]
+    fn stdio_worker_loop_drops_an_over_cap_frame() {
+        use crate::wire::endless::{Unterminated, CONSUME_BOUND, STREAM_BYTES};
+        use std::sync::atomic::Ordering;
+        let input = Unterminated::new(STREAM_BYTES);
+        let consumed = input.consumed.clone();
+        let (outcome, frames) = serve_stdio(input, toys());
+        let error = outcome.unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(output.is_empty());
+        assert!(error.to_string().contains("frame exceeds"), "{error}");
+        assert!(frames.is_empty(), "{frames:?}");
+        assert!(consumed.load(Ordering::SeqCst) <= CONSUME_BOUND);
     }
 
     #[test]
@@ -1131,5 +988,23 @@ mod tests {
             .execute(vec![item])
             .unwrap_err();
         assert!(error.to_string().contains("cannot spawn worker"), "{error}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_process_worker_answering_with_a_skewed_welcome_fails_the_run() {
+        let params = ScenarioParams::with_seed(1);
+        let item = WorkItem::new(&*toys()[0], 0, &params);
+        let skewed = serde_json::to_string(&WorkerFrame::Welcome {
+            protocol: REMOTE_PROTOCOL_VERSION + 1,
+        })
+        .unwrap();
+        let command = WorkerCommand::new("/bin/sh")
+            .arg("-c")
+            .arg(format!("read hello; echo '{skewed}'; cat >/dev/null"));
+        let error = ProcessExecutor::new(command)
+            .execute(vec![item])
+            .unwrap_err();
+        assert!(error.to_string().contains("refused"), "{error}");
     }
 }

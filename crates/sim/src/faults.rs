@@ -65,9 +65,10 @@ pub mod points {
     /// [`LocalExecutor`](crate::executor::LocalExecutor): before each
     /// item executes (both the sequential and the threaded path).
     pub const LOCAL_ITEM: &str = "local.item";
-    /// Worker side of the process backend
-    /// ([`serve_work_items`](crate::executor::serve_work_items)): before
-    /// each assignment is answered.
+    /// Worker side of the process backend (the stdio
+    /// [`serve_remote_connection`](crate::remote::serve_remote_connection)
+    /// loop of `run_experiments worker`): before each assignment is
+    /// answered.
     pub const WORKER_ITEM: &str = "worker.item";
     /// [`RemoteExecutor`](crate::remote::RemoteExecutor) dispatcher:
     /// before each host connection attempt.

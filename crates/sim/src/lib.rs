@@ -2,8 +2,6 @@
 //!
 //! Experiment infrastructure for the OnionBots (DSN 2015) evaluation:
 //!
-//! * [`engine`] — a deterministic discrete-event queue for scenario
-//!   scheduling.
 //! * [`scenario`] — the takedown primitives behind Figures 4, 5 and 6:
 //!   gradual (self-repairing vs. normal) takedowns with metric sampling, and
 //!   the simultaneous-deletion partition threshold.
@@ -20,9 +18,15 @@
 //! * [`executor`] — the execution backends behind the runner: the
 //!   [`Executor`] trait over serializable [`WorkItem`]s (whose identity
 //!   is the cache fingerprint), the in-process [`LocalExecutor`] thread
-//!   pool and the [`ProcessExecutor`], which streams newline-delimited
-//!   JSON work items to `run_experiments worker` subprocesses and
-//!   re-queues items when a worker dies.
+//!   pool and the [`ProcessExecutor`], whose `run_experiments worker`
+//!   subprocesses are worker hosts on stdin/stdout.
+//! * [`remote`] — the one dispatcher behind the process and remote
+//!   backends (handshake, work stealing, re-queue on worker death,
+//!   bounded retries, fingerprint dedup), the [`RemoteExecutor`] TCP
+//!   fleet, and the one serve loop every worker runs.
+//! * [`wire`] — the one NDJSON framing module: [`wire::write_frame`]
+//!   and the bounded [`wire::FrameReader`] every frame on a pipe or
+//!   socket goes through.
 //! * [`service`] — the always-on simulation service: a persistent
 //!   daemon over the same runner pipeline, speaking an NDJSON job API
 //!   ([`service::Request`]/[`service::Event`] frames) over Unix-domain
@@ -62,7 +66,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod engine;
 pub mod executor;
 pub mod experiment;
 pub mod faults;
@@ -71,6 +74,7 @@ pub mod runner;
 pub mod scenario;
 pub mod scenario_api;
 pub mod service;
+pub mod wire;
 
 pub use cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache, CACHE_FORMAT_VERSION};
 pub use executor::{
@@ -90,9 +94,6 @@ pub use scenario_api::{
     merge_reports, parse_override, part_seed, Scenario, ScenarioParams, ScenarioRegistry,
     UnknownScenario,
 };
-// The service's `Request`/`Event` frame types stay namespaced
-// (`sim::service::{Request, Event}`) so they cannot be confused with the
-// discrete-event `engine` types; the nouns below are unambiguous.
 pub use service::{
     BackendSpec, JobSpec, JobState, JobStatus, ScenarioInfo, Service, ServiceConfig, ThreadsSpec,
 };

@@ -1,71 +1,78 @@
-//! Multi-host distributed backend: TCP work-stealing fleet dispatch.
+//! The one dispatcher behind both out-of-process backends, and the one
+//! serve loop their workers run.
 //!
-//! [`RemoteExecutor`] fans the same serializable [`WorkItem`]s the
-//! process backend pins out to a fleet of worker *hosts* over TCP. The
-//! wire format is one JSON frame per line, and the payload frames embed
-//! the exact [`WorkItem`]/[`PartResult`] objects `serve_work_items`
-//! already speaks — a worker host is a `ProcessExecutor` worker with a
-//! socket where the pipe used to be, plus a one-line version handshake:
+//! A worker is a *host on a byte channel*. For
+//! [`ProcessExecutor`](crate::executor::ProcessExecutor) the channel is
+//! a spawned worker subprocess's stdin/stdout; for [`RemoteExecutor`] it
+//! is a TCP connection to a `serve-worker` host. Both speak the same
+//! NDJSON frames ([`crate::wire`]), embedding the exact
+//! [`WorkItem`]/[`PartResult`] objects:
 //!
 //! | direction | frame | meaning |
 //! |---|---|---|
-//! | dispatcher → host | `Hello { protocol }` | open a work channel |
-//! | host → dispatcher | `Welcome { protocol }` | versions match, send work |
-//! | host → dispatcher | `Reject { reason }` | refused (version skew, …) |
-//! | dispatcher → host | `Assign(WorkItem)` | execute one item |
-//! | host → dispatcher | `Completed(PartResult)` | the item's result |
+//! | dispatcher → worker | `Hello { protocol }` | open a work channel |
+//! | worker → dispatcher | `Welcome { protocol }` | versions match, send work |
+//! | worker → dispatcher | `Reject { reason }` | refused (version skew, …) |
+//! | dispatcher → worker | `Assign(WorkItem)` | execute one item |
+//! | worker → dispatcher | `Completed(PartResult)` | the item's result |
 //!
-//! Dispatch is **work-stealing**: one dispatcher-side thread per
-//! configured host pulls items off a shared pending queue, so a slow
-//! host never stalls the run — it just steals fewer items. Host loss
-//! follows the `ProcessExecutor` semantics exactly: the in-flight item
-//! is re-queued for the surviving hosts, deaths of *fresh* connections
-//! (no completed items) charge the item's bounded retry budget, and a
-//! run fails instead of looping when an item keeps killing fresh
-//! connections or when every host is gone with work still queued.
-//! Results dedup on the item **fingerprint** — a re-queued item can
-//! never be double-merged even if a half-dead host answered it late.
+//! Only how a channel is opened differs between the backends (a
+//! [`Transport`]: spawn `jobs` copies of a command, or connect to each
+//! configured address); everything else is one dispatch loop. It is
+//! **work-stealing**: one dispatcher thread per channel slot pulls items
+//! off a shared pending queue, so a slow worker never stalls the run —
+//! it just steals fewer items. A worker that dies mid-item has the item
+//! re-queued for the surviving slots; deaths of *fresh* channels (no
+//! completed items) charge the item's bounded retry budget, and retried
+//! items back off with a bounded exponential pause whose jitter derives
+//! deterministically from the item fingerprint (no ambient randomness).
+//! A run fails instead of looping when an item keeps killing fresh
+//! channels or when every worker is gone with work still queued, and
+//! results dedup on the item **fingerprint**, so a re-queued item is
+//! never merged twice.
 //!
-//! Determinism is inherited, not re-argued: hosts compute parts with
+//! Determinism is inherited, not re-argued: workers compute parts with
 //! [`run_work_item`] (per-part seed, `threads` budget scoped around the
 //! part), the cache pass sits above the backend, and the `Runner`
 //! reassembles results in `(scenario, part)` order — so `RunSummary` is
-//! byte-identical to `--backend local` at any host count, including
-//! under mid-run host kills.
+//! byte-identical to `--backend local` at any worker count, including
+//! under mid-run worker kills.
 //!
-//! **No call here can block forever.** Connections are opened with
-//! [`TcpStream::connect_timeout`], every read carries a socket read
-//! timeout of [`REMOTE_READ_POLL_MS`], and each reply is bounded by a
-//! per-item deadline enforced by *counting* timeout polls (never by
-//! reading a wall clock — detlint rule D002). A host that accepts TCP
-//! but never replies — during the handshake or mid-item — is abandoned
-//! after the deadline and its item re-queued on the surviving hosts;
-//! retried items back off with a bounded exponential pause whose jitter
-//! derives deterministically from the item fingerprint (no ambient
-//! randomness). The `remote.connect`/`remote.read` failpoints
-//! ([`crate::faults`]) sit on the dispatcher side and
-//! `remote.host.item` on the host side, so chaos schedules can rehearse
-//! every one of these failure shapes on demand.
+//! **Where reads can time out, no call blocks forever.** TCP channels
+//! are opened with [`TcpStream::connect_timeout`] and carry a socket
+//! read timeout of [`REMOTE_READ_POLL_MS`]; each reply is bounded by a
+//! per-item deadline enforced by *counting* [`Frame::Idle`] polls (never
+//! by reading a wall clock — detlint rule D002). A host that accepts TCP
+//! but never replies is abandoned after the deadline and its item
+//! re-queued on the survivors. Child pipes never time out, so the
+//! process backend has no deadline. The `remote.connect`/`remote.read`
+//! failpoints ([`crate::faults`]) sit on the TCP dispatcher side;
+//! `worker.item` and `remote.host.item` are the serve loop's
+//! per-assignment failpoint on a process worker and on a host.
+
+// Wire code faces untrusted bytes: panicking extractors are banned here
+// (the test module opts back in, where a panic is the failure report).
+#![deny(clippy::unwrap_used)]
 
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::faults;
-
 use crate::executor::{
     run_work_item, ExecutionObserver, Executor, ExecutorError, PartResult, WorkItem,
     DEFAULT_MAX_ITEM_RETRIES,
 };
+use crate::faults;
 use crate::scenario_api::Scenario;
+use crate::wire::{self, Frame, FrameReader};
 
-/// Version of the dispatcher↔host wire protocol. Part of the handshake:
-/// a host refuses a dispatcher whose version differs, which fails the
-/// run up front instead of corrupting it halfway through.
+/// Version of the dispatcher↔worker wire protocol. Part of the
+/// handshake: a worker refuses a dispatcher whose version differs, which
+/// fails the run up front instead of corrupting it halfway through.
 pub const REMOTE_PROTOCOL_VERSION: u32 = 1;
 
 /// How long one connection attempt to a worker host may take before the
@@ -114,18 +121,17 @@ fn is_timeout(e: &io::Error) -> bool {
 /// The shared dispatch queue plus the in-flight ledger that makes the
 /// work-stealing termination protocol sound. An idle dispatcher thread
 /// may only exit when the queue is empty AND nothing is in flight:
-/// otherwise a dying host could re-queue its in-flight item after every
-/// survivor already went home, stranding the item with live hosts
-/// available (the race the in-flight count exists to close). Threads
-/// with nothing to steal park on the paired [`Condvar`] and are woken by
-/// every re-queue, every settled item and every fatal error.
+/// otherwise a dying worker could re-queue its in-flight item after
+/// every survivor already went home, stranding the item with live
+/// workers available (the race the in-flight count exists to close).
+/// Threads with nothing to steal park on the paired [`Condvar`] and are
+/// woken by every re-queue, every settled item and every fatal error.
 struct DispatchQueue {
     pending: VecDeque<(WorkItem, usize)>,
     in_flight: usize,
 }
 
-/// Frames the dispatcher sends to a worker host (one JSON object per
-/// line).
+/// Frames the dispatcher sends to a worker (one JSON object per line).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum DispatchFrame {
     /// Opens a work channel; must be the first frame on a connection.
@@ -133,21 +139,21 @@ pub enum DispatchFrame {
         /// The dispatcher's [`REMOTE_PROTOCOL_VERSION`].
         protocol: u32,
     },
-    /// Assigns one work item; the host answers with
+    /// Assigns one work item; the worker answers with
     /// [`WorkerFrame::Completed`].
     Assign(WorkItem),
 }
 
-/// Frames a worker host sends back to the dispatcher (one JSON object
-/// per line).
+/// Frames a worker sends back to the dispatcher (one JSON object per
+/// line).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerFrame {
-    /// Handshake accepted; the host will serve assignments.
+    /// Handshake accepted; the worker will serve assignments.
     Welcome {
-        /// The host's [`REMOTE_PROTOCOL_VERSION`].
+        /// The worker's [`REMOTE_PROTOCOL_VERSION`].
         protocol: u32,
     },
-    /// Handshake refused; the host closes the connection after this.
+    /// Handshake refused; the worker closes the channel after this.
     Reject {
         /// Human-readable refusal cause (version skew, bad hello, …).
         reason: String,
@@ -156,184 +162,384 @@ pub enum WorkerFrame {
     Completed(PartResult),
 }
 
-fn send_frame<W: Write, T: Serialize>(output: &mut W, frame: &T) -> io::Result<()> {
-    let line = serde_json::to_string(frame).expect("protocol frames serialize");
-    output.write_all(line.as_bytes())?;
-    output.write_all(b"\n")?;
-    output.flush()
+/// A freshly opened byte channel to one worker, before the handshake.
+pub(crate) struct Link {
+    /// Where the worker's frames arrive.
+    pub(crate) reader: Box<dyn Read + Send>,
+    /// Where assignments go. Dropping it closes the channel (and, for a
+    /// subprocess, reaps the worker).
+    pub(crate) writer: Box<dyn Write + Send>,
 }
 
-/// Reads one line, `None` on EOF.
-fn read_frame_line<R: BufRead>(input: &mut R) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    if input.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    Ok(Some(line))
+/// How a backend opens channels to its workers — the only part of
+/// dispatch that differs between the process and remote backends.
+pub(crate) trait Transport: Sync {
+    /// How a failed first open is phrased before the peer's name:
+    /// `cannot spawn`, `cannot connect to`.
+    const OPEN_FAILED: &'static str;
+    /// Failpoint hit after each assignment is sent, before its reply is
+    /// read.
+    const READ_POINT: Option<&'static str> = None;
+    /// Dispatcher slots: one thread and at most one open channel each.
+    fn slots(&self) -> usize;
+    /// Names slot `slot`'s worker in messages, e.g.
+    /// `worker host '127.0.0.1:7461'`.
+    fn peer(&self, slot: usize) -> String;
+    /// Opens a fresh channel for `slot` (spawn or connect).
+    fn open(&self, slot: usize) -> io::Result<Link>;
 }
 
-/// Why a connection attempt to a worker host did not produce a usable
-/// channel — the two cases have opposite consequences for the run.
+/// Why opening a channel did not produce a usable one — the two cases
+/// have opposite consequences for the run.
 enum ConnectFailure {
-    /// The host is unreachable or vanished mid-handshake. Fatal on the
-    /// first attempt (a configured host must exist when the run starts,
-    /// mirroring the process backend's cannot-spawn error); mere host
-    /// loss on a reconnect, where the rest of the fleet absorbs the
-    /// queue.
+    /// The worker cannot be reached or vanished mid-handshake. Fatal on
+    /// a slot's first attempt (a configured worker must exist when the
+    /// run starts); mere worker loss on a reopen, where the other slots
+    /// absorb the queue.
     Dead(io::Error),
-    /// The host answered and refused us (version skew, not speaking the
-    /// protocol at all). Always fatal: a misconfigured fleet member
-    /// would silently absorb retries otherwise.
+    /// The worker answered and refused us (version skew, not speaking
+    /// the protocol at all). Always fatal: a misconfigured worker would
+    /// silently absorb retries otherwise.
     Refused(String),
 }
 
-/// A live work channel to one worker host.
-struct HostChannel {
-    writer: TcpStream,
-    reader: BufReader<TcpStream>,
-    /// Items this connection answered successfully — same fresh-death
-    /// heuristic as the process backend's per-incarnation counter.
+/// A live, handshaken work channel to one worker.
+struct Channel {
+    reader: FrameReader<Box<dyn Read + Send>>,
+    writer: Box<dyn Write + Send>,
+    /// Items this channel answered successfully — distinguishes a worker
+    /// that dies on its very first item (the item is suspect) from one
+    /// that wears out after completing work (the item is innocent).
     completed: usize,
-    /// Per-reply deadline, expressed in [`REMOTE_READ_POLL_MS`] polls.
-    deadline_polls: u64,
+    /// Per-reply deadline in [`REMOTE_READ_POLL_MS`] polls; `None` where
+    /// reads never time out.
+    deadline_polls: Option<u64>,
 }
 
-impl HostChannel {
-    fn connect(addr: &str, deadline_ms: u64) -> Result<HostChannel, ConnectFailure> {
-        faults::hit_io(faults::points::REMOTE_CONNECT).map_err(ConnectFailure::Dead)?;
-        let target = addr
-            .to_socket_addrs()
-            .map_err(ConnectFailure::Dead)?
-            .next()
-            .ok_or_else(|| {
-                ConnectFailure::Dead(io::Error::new(
-                    io::ErrorKind::AddrNotAvailable,
-                    "address resolves to no socket address",
-                ))
-            })?;
-        let writer =
-            TcpStream::connect_timeout(&target, Duration::from_millis(REMOTE_CONNECT_TIMEOUT_MS))
-                .map_err(ConnectFailure::Dead)?;
-        // The protocol is strictly request/response with small frames;
-        // without TCP_NODELAY every round trip stalls on Nagle vs
-        // delayed-ACK (~40 ms each way — measured ~87 ms/item on
-        // loopback, dwarfing the work itself).
-        writer.set_nodelay(true).map_err(ConnectFailure::Dead)?;
-        // Bound every read. The clone below shares the socket, so the
-        // reader inherits the timeout; reads then poll at this
-        // granularity and `read_reply_line` counts polls against the
-        // per-reply deadline.
-        writer
-            .set_read_timeout(Some(Duration::from_millis(REMOTE_READ_POLL_MS)))
-            .map_err(ConnectFailure::Dead)?;
-        let reader = BufReader::new(writer.try_clone().map_err(ConnectFailure::Dead)?);
-        let mut channel = HostChannel {
-            writer,
-            reader,
+impl Channel {
+    fn open<T: Transport>(
+        transport: &T,
+        slot: usize,
+        deadline_polls: Option<u64>,
+    ) -> Result<Channel, ConnectFailure> {
+        let link = transport.open(slot).map_err(ConnectFailure::Dead)?;
+        let mut channel = Channel {
+            reader: FrameReader::new(link.reader),
+            writer: link.writer,
             completed: 0,
-            deadline_polls: deadline_ms.div_ceil(REMOTE_READ_POLL_MS).max(1),
+            deadline_polls,
         };
-        send_frame(
-            &mut channel.writer,
-            &DispatchFrame::Hello {
-                protocol: REMOTE_PROTOCOL_VERSION,
-            },
-        )
-        .map_err(ConnectFailure::Dead)?;
-        let line = match channel.read_reply_line().map_err(ConnectFailure::Dead)? {
-            Some(line) => line,
-            None => {
-                return Err(ConnectFailure::Dead(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "host closed the connection during the handshake",
-                )))
+        let hello = DispatchFrame::Hello {
+            protocol: REMOTE_PROTOCOL_VERSION,
+        };
+        wire::write_frame(&mut channel.writer, &hello).map_err(ConnectFailure::Dead)?;
+        match channel.recv() {
+            Ok(WorkerFrame::Welcome { protocol }) if protocol == REMOTE_PROTOCOL_VERSION => {
+                Ok(channel)
             }
-        };
-        let reply: WorkerFrame = serde_json::from_str(&line).map_err(|e| {
-            ConnectFailure::Refused(format!("sent an unparseable handshake reply: {e}"))
-        })?;
-        match reply {
-            WorkerFrame::Welcome { protocol } if protocol == REMOTE_PROTOCOL_VERSION => Ok(channel),
-            WorkerFrame::Welcome { protocol } => Err(ConnectFailure::Refused(format!(
+            Ok(WorkerFrame::Welcome { protocol }) => Err(ConnectFailure::Refused(format!(
                 "speaks remote protocol v{protocol}, this dispatcher speaks v{REMOTE_PROTOCOL_VERSION}"
             ))),
-            WorkerFrame::Reject { reason } => Err(ConnectFailure::Refused(reason)),
-            WorkerFrame::Completed(_) => Err(ConnectFailure::Refused(
+            Ok(WorkerFrame::Reject { reason }) => Err(ConnectFailure::Refused(reason)),
+            Ok(WorkerFrame::Completed(_)) => Err(ConnectFailure::Refused(
                 "answered the handshake with a result frame".to_string(),
             )),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(ConnectFailure::Refused(
+                format!("sent an unusable handshake reply: {e}"),
+            )),
+            Err(e) => Err(ConnectFailure::Dead(e)),
         }
     }
 
-    /// Reads one reply line under the per-reply deadline: each blocking
-    /// read times out after [`REMOTE_READ_POLL_MS`] and the polls are
-    /// counted, so a host that stops answering surfaces a `TimedOut`
-    /// error after `deadline_polls` polls instead of wedging the
-    /// dispatcher thread. Partial lines survive timeouts (`read_line`
-    /// keeps already-read bytes in the buffer), so a slow-but-live host
-    /// is never corrupted by the polling.
-    fn read_reply_line(&mut self) -> io::Result<Option<String>> {
-        let mut line = String::new();
+    /// Reads one frame under the per-reply deadline: every
+    /// [`Frame::Idle`] (a socket read timeout) is one counted poll, so a
+    /// worker that stops answering surfaces a `TimedOut` error after
+    /// `deadline_polls` polls instead of wedging the dispatcher thread.
+    fn recv(&mut self) -> io::Result<WorkerFrame> {
         let mut polls: u64 = 0;
         loop {
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Ok(None),
-                Ok(_) => return Ok(Some(line)),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if is_timeout(&e) => {
+            match self.reader.read_frame()? {
+                Frame::Line(line) => {
+                    return serde_json::from_str(&line).map_err(|e| {
+                        io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("unparseable frame: {e}"),
+                        )
+                    })
+                }
+                Frame::Eof => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "the worker closed the channel",
+                    ))
+                }
+                Frame::Idle => {
                     polls += 1;
-                    if polls >= self.deadline_polls {
+                    if let Some(limit) = self.deadline_polls.filter(|&limit| polls >= limit) {
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             format!(
                                 "no reply within the {} ms deadline",
-                                self.deadline_polls * REMOTE_READ_POLL_MS
+                                limit * REMOTE_READ_POLL_MS
                             ),
                         ));
                     }
                 }
-                Err(e) => return Err(e),
             }
         }
     }
 
-    /// Sends one assignment and reads back its result. Any error means
-    /// the channel is unusable and must be replaced.
-    fn round_trip(&mut self, item: &WorkItem) -> io::Result<PartResult> {
-        send_frame(&mut self.writer, &DispatchFrame::Assign(item.clone()))?;
-        faults::hit_io(faults::points::REMOTE_READ)?;
-        let line = self.read_reply_line()?.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "host closed the connection mid-item",
-            )
-        })?;
-        let frame: WorkerFrame = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("host sent an unparseable frame: {e}"),
-            )
-        })?;
-        match frame {
-            WorkerFrame::Completed(result) => Ok(result),
-            WorkerFrame::Welcome { .. } | WorkerFrame::Reject { .. } => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "host sent a handshake frame mid-run",
-            )),
+    /// Sends one assignment and reads its result, skipping stale repeats
+    /// of results the `merged` ledger already holds. Any error means the
+    /// channel is unusable and must be replaced.
+    fn assign<T: Transport>(
+        &mut self,
+        item: &WorkItem,
+        merged: &Mutex<BTreeSet<String>>,
+    ) -> io::Result<PartResult> {
+        wire::write_frame(&mut self.writer, &DispatchFrame::Assign(item.clone()))?;
+        T::READ_POINT.map_or(Ok(()), faults::hit_io)?;
+        loop {
+            let WorkerFrame::Completed(result) = self.recv()? else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "handshake frame mid-run",
+                ));
+            };
+            let stale = result.fingerprint != item.fingerprint
+                && merged
+                    .lock()
+                    .expect("merged lock")
+                    .contains(&result.fingerprint);
+            if !stale {
+                return Ok(result);
+            }
+            eprintln!(
+                "warning: dropped a stale repeat of {}#{}'s result",
+                result.scenario_id, result.part
+            );
         }
     }
 }
 
+/// Runs `items` on the workers `transport` opens: the one dispatch loop
+/// of the process and remote backends (module docs). `deadline_ms`
+/// bounds each reply where the transport's reads time out; pass `None`
+/// for transports whose reads never do.
+pub(crate) fn dispatch<T: Transport>(
+    transport: &T,
+    items: Vec<WorkItem>,
+    observer: &dyn ExecutionObserver,
+    max_item_retries: usize,
+    deadline_ms: Option<u64>,
+) -> Result<Vec<PartResult>, ExecutorError> {
+    if items.is_empty() {
+        return Ok(Vec::new());
+    }
+    let total = items.len();
+    let slots = transport.slots().min(total);
+    let deadline_polls = deadline_ms.map(|ms| ms.div_ceil(REMOTE_READ_POLL_MS).max(1));
+    let queue: Mutex<DispatchQueue> = Mutex::new(DispatchQueue {
+        pending: items.into_iter().map(|item| (item, 0)).collect(),
+        in_flight: 0,
+    });
+    let wake = Condvar::new();
+    let results: Mutex<Vec<PartResult>> = Mutex::new(Vec::new());
+    // Fingerprints already merged — the dedup ledger that guarantees a
+    // re-queued item can never land twice.
+    let merged: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
+    let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
+    // An item leaves a thread's hands one of exactly two ways; both wake
+    // the parked stealers so the termination condition (empty queue,
+    // nothing in flight) is re-evaluated.
+    let requeue = |item: WorkItem, retries: usize| {
+        let mut state = queue.lock().expect("queue lock");
+        state.pending.push_back((item, retries));
+        state.in_flight -= 1;
+        wake.notify_all();
+    };
+    let settle = || {
+        queue.lock().expect("queue lock").in_flight -= 1;
+        wake.notify_all();
+    };
+    // Fails the run over the item in hand; parked stealers re-check the
+    // fatal flag on every wake-up.
+    let fail = |message: String| {
+        fatal
+            .lock()
+            .expect("fatal lock")
+            .get_or_insert(ExecutorError::new(message));
+        settle();
+    };
+    std::thread::scope(|scope| {
+        for slot in 0..slots {
+            let (queue, wake, results, merged) = (&queue, &wake, &results, &merged);
+            let (fail, requeue, settle, fatal) = (&fail, &requeue, &settle, &fatal);
+            scope.spawn(move || {
+                let peer = transport.peer(slot);
+                let mut channel: Option<Channel> = None;
+                let mut ever_connected = false;
+                loop {
+                    if fatal.lock().expect("fatal lock").is_some() {
+                        break;
+                    }
+                    let next = {
+                        let mut state = queue.lock().expect("queue lock");
+                        loop {
+                            if let Some(entry) = state.pending.pop_front() {
+                                state.in_flight += 1;
+                                break Some(entry);
+                            }
+                            if state.in_flight == 0 {
+                                // Drained for good: nothing queued and
+                                // nothing left that could re-queue.
+                                break None;
+                            }
+                            // Another slot holds the remaining items; if
+                            // its worker dies they come back here. Park
+                            // until a re-queue, a settle or a fatal.
+                            state = wake.wait(state).expect("queue lock");
+                            if fatal.lock().expect("fatal lock").is_some() {
+                                break None;
+                            }
+                        }
+                    };
+                    let Some((item, retries)) = next else {
+                        break;
+                    };
+                    let mut active = match channel.take() {
+                        Some(open) => open,
+                        None => match Channel::open(transport, slot, deadline_polls) {
+                            Ok(opened) => {
+                                ever_connected = true;
+                                opened
+                            }
+                            Err(ConnectFailure::Refused(reason)) => {
+                                fail(format!("{peer} refused the dispatcher: {reason}"));
+                                break;
+                            }
+                            // A worker that accepts TCP but never answers
+                            // the handshake is *hung*, not misconfigured:
+                            // abandon it and let the survivors drain the
+                            // queue, even on the very first attempt.
+                            Err(ConnectFailure::Dead(e)) if ever_connected || is_timeout(&e) => {
+                                eprintln!(
+                                    "warning: {peer} is gone ({e}); re-queueing {}#{} for the remaining workers",
+                                    item.scenario_id, item.part
+                                );
+                                requeue(item, retries);
+                                break;
+                            }
+                            Err(ConnectFailure::Dead(e)) => {
+                                fail(format!("{} {peer}: {e}", T::OPEN_FAILED));
+                                break;
+                            }
+                        },
+                    };
+                    observer.item_started(&item);
+                    match active.assign::<T>(&item, merged) {
+                        Ok(result) => {
+                            if let Some(error) = &result.error {
+                                fail(format!(
+                                    "{peer} failed on {}#{}: {error}",
+                                    item.scenario_id, item.part
+                                ));
+                                break;
+                            }
+                            if result.scenario_id != item.scenario_id
+                                || result.part != item.part
+                                || result.fingerprint != item.fingerprint
+                            {
+                                fail(format!(
+                                    "{peer} answered {}#{} with a result for {}#{} (protocol error)",
+                                    item.scenario_id, item.part, result.scenario_id, result.part
+                                ));
+                                break;
+                            }
+                            active.completed += 1;
+                            let first_landing = merged
+                                .lock()
+                                .expect("merged lock")
+                                .insert(result.fingerprint.clone());
+                            if first_landing {
+                                observer.item_finished(&result);
+                                results.lock().expect("results lock").push(result);
+                            } else {
+                                eprintln!(
+                                    "warning: dropped a duplicate result for {}#{} from {peer} (fingerprint already merged)",
+                                    item.scenario_id, item.part
+                                );
+                            }
+                            settle();
+                            channel = Some(active);
+                        }
+                        Err(e) if is_timeout(&e) => {
+                            // Per-item deadline: the worker is hung
+                            // (connected, silent). Abandon it — a late
+                            // reply on this channel would desync the
+                            // framing anyway — re-queue the item on the
+                            // survivors and end this thread. No retry
+                            // charge: the worker is at fault, not the
+                            // item.
+                            drop(active);
+                            eprintln!(
+                                "warning: {peer} hit the per-item deadline on {}#{} ({e}); re-queueing for the remaining workers",
+                                item.scenario_id, item.part
+                            );
+                            requeue(item, retries);
+                            break;
+                        }
+                        Err(e) => {
+                            // The channel is gone or confused: drop it,
+                            // re-queue the in-flight item and reopen
+                            // lazily on the next iteration. Only deaths
+                            // of *fresh* channels (no completed items)
+                            // are charged to the item — a toxic item
+                            // kills every fresh worker it meets, while a
+                            // worker wearing out after completed work
+                            // says nothing about the item it held.
+                            let fresh_death = active.completed == 0;
+                            drop(active);
+                            let retries = retries + usize::from(fresh_death);
+                            if retries > max_item_retries {
+                                fail(format!(
+                                    "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
+                                    item.scenario_id, item.part
+                                ));
+                                break;
+                            }
+                            let pause = retry_backoff_millis(&item.fingerprint, retries);
+                            eprintln!(
+                                "warning: {peer} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{max_item_retries} charged retries)",
+                                item.scenario_id, item.part
+                            );
+                            // detlint: allow(D002) reason="bounded retry backoff; the pause is deterministic (fingerprint-derived) and its duration never feeds back into any output"
+                            std::thread::sleep(Duration::from_millis(pause));
+                            requeue(item, retries);
+                        }
+                    }
+                }
+                // Dropping the channel closes it; the worker sees EOF.
+            });
+        }
+    });
+    if let Some(error) = fatal.into_inner().expect("fatal lock") {
+        return Err(error);
+    }
+    let stranded = queue.into_inner().expect("queue lock").pending.len();
+    if stranded > 0 {
+        return Err(ExecutorError::new(format!(
+            "all {slots} worker channel(s) are gone with {stranded} of {total} item(s) still queued"
+        )));
+    }
+    Ok(results.into_inner().expect("results lock"))
+}
+
 /// The multi-host backend: dispatches work items to a fleet of
-/// [`serve_remote_host`] worker hosts over TCP.
-///
-/// One dispatcher thread per configured host address pulls from a shared
-/// pending queue (work stealing). Crash semantics mirror
-/// [`ProcessExecutor`](crate::executor::ProcessExecutor): a host that
-/// dies mid-item has the item re-queued, only fresh-connection deaths
-/// are charged against the item's bounded retry budget, and results are
-/// deduplicated by fingerprint so a re-queued item is never merged
-/// twice. A host that is unreachable when the run starts, or that
-/// rejects the handshake (version skew), fails the run immediately.
+/// [`serve_remote_host`] worker hosts over TCP, one dispatcher slot per
+/// configured address, through the shared dispatch loop (module docs).
+/// A host that is unreachable when the run starts, or that rejects the
+/// handshake (version skew), fails the run immediately.
 pub struct RemoteExecutor {
     workers: Vec<String>,
     max_item_retries: usize,
@@ -370,6 +576,47 @@ impl RemoteExecutor {
     }
 }
 
+impl Transport for RemoteExecutor {
+    const OPEN_FAILED: &'static str = "cannot connect to";
+    const READ_POINT: Option<&'static str> = Some(faults::points::REMOTE_READ);
+
+    fn slots(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn peer(&self, slot: usize) -> String {
+        format!("worker host '{}'", self.workers[slot])
+    }
+
+    fn open(&self, slot: usize) -> io::Result<Link> {
+        faults::hit_io(faults::points::REMOTE_CONNECT)?;
+        let target = self.workers[slot]
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::AddrNotAvailable,
+                    "address resolves to no socket address",
+                )
+            })?;
+        let stream =
+            TcpStream::connect_timeout(&target, Duration::from_millis(REMOTE_CONNECT_TIMEOUT_MS))?;
+        // The protocol is strictly request/response with small frames;
+        // without TCP_NODELAY every round trip stalls on Nagle vs
+        // delayed-ACK (~40 ms each way — measured ~87 ms/item on
+        // loopback, dwarfing the work itself).
+        stream.set_nodelay(true)?;
+        // Bound every read: the clone shares the socket and its timeout,
+        // so reads poll at this granularity and the dispatcher counts
+        // the polls against the per-reply deadline.
+        stream.set_read_timeout(Some(Duration::from_millis(REMOTE_READ_POLL_MS)))?;
+        Ok(Link {
+            reader: Box::new(stream.try_clone()?),
+            writer: Box::new(stream),
+        })
+    }
+}
+
 impl Executor for RemoteExecutor {
     fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
         self.execute_observed(items, &())
@@ -380,315 +627,96 @@ impl Executor for RemoteExecutor {
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.workers.is_empty() {
+        if self.workers.is_empty() && !items.is_empty() {
             return Err(ExecutorError::new(
                 "remote backend has no worker hosts configured (add --worker ADDR)",
             ));
         }
-        let total = items.len();
-        let queue: Mutex<DispatchQueue> = Mutex::new(DispatchQueue {
-            pending: items.into_iter().map(|item| (item, 0)).collect(),
-            in_flight: 0,
-        });
-        let wake = Condvar::new();
-        let results: Mutex<Vec<PartResult>> = Mutex::new(Vec::new());
-        // Fingerprints already merged — the dedup ledger that guarantees
-        // a re-queued item can never land twice.
-        let merged: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
-        let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        let fail = |message: String| {
-            fatal
-                .lock()
-                .expect("fatal lock")
-                .get_or_insert(ExecutorError::new(message));
-            // Parked stealers re-check the fatal flag on every wake-up.
-            wake.notify_all();
-        };
-        // An item leaves a thread's hands one of exactly two ways; both
-        // wake the parked stealers so the termination condition (empty
-        // queue, nothing in flight) is re-evaluated.
-        let requeue = |item: WorkItem, retries: usize| {
-            let mut state = queue.lock().expect("queue lock");
-            state.pending.push_back((item, retries));
-            state.in_flight -= 1;
-            wake.notify_all();
-        };
-        let settle = || {
-            queue.lock().expect("queue lock").in_flight -= 1;
-            wake.notify_all();
-        };
-        std::thread::scope(|scope| {
-            for addr in self.workers.iter().take(total) {
-                let addr = addr.as_str();
-                let (queue, wake, results, merged) = (&queue, &wake, &results, &merged);
-                let (fail, requeue, settle) = (&fail, &requeue, &settle);
-                let fatal = &fatal;
-                let max_item_retries = self.max_item_retries;
-                let deadline_ms = self.deadline_ms;
-                scope.spawn(move || {
-                    let mut channel: Option<HostChannel> = None;
-                    let mut ever_connected = false;
-                    loop {
-                        if fatal.lock().expect("fatal lock").is_some() {
-                            break;
-                        }
-                        let next = {
-                            let mut state = queue.lock().expect("queue lock");
-                            loop {
-                                if let Some(entry) = state.pending.pop_front() {
-                                    state.in_flight += 1;
-                                    break Some(entry);
-                                }
-                                if state.in_flight == 0 {
-                                    // Drained for good: nothing queued and
-                                    // nothing left that could re-queue.
-                                    break None;
-                                }
-                                // Another host holds the remaining items;
-                                // if it dies they come back here. Park
-                                // until a re-queue, a settle or a fatal.
-                                state = wake.wait(state).expect("queue lock");
-                                if fatal.lock().expect("fatal lock").is_some() {
-                                    break None;
-                                }
-                            }
-                        };
-                        let Some((item, retries)) = next else {
-                            break;
-                        };
-                        if channel.is_none() {
-                            match HostChannel::connect(addr, deadline_ms) {
-                                Ok(connected) => {
-                                    channel = Some(connected);
-                                    ever_connected = true;
-                                }
-                                Err(ConnectFailure::Refused(reason)) => {
-                                    fail(format!(
-                                        "worker host '{addr}' refused the dispatcher: {reason}"
-                                    ));
-                                    settle();
-                                    break;
-                                }
-                                Err(ConnectFailure::Dead(e)) => {
-                                    // A host that accepts TCP but never
-                                    // answers the handshake is *hung*,
-                                    // not misconfigured: abandon it and
-                                    // let the survivors drain the queue,
-                                    // even on the very first attempt.
-                                    if ever_connected || is_timeout(&e) {
-                                        // Host loss: hand the item back and
-                                        // let the surviving hosts drain the
-                                        // queue; this thread is done.
-                                        eprintln!(
-                                            "warning: worker host '{addr}' is gone ({e}); re-queueing {}#{} for the remaining hosts",
-                                            item.scenario_id, item.part
-                                        );
-                                        requeue(item, retries);
-                                        break;
-                                    }
-                                    fail(format!(
-                                        "cannot connect to worker host '{addr}': {e}"
-                                    ));
-                                    settle();
-                                    break;
-                                }
-                            }
-                        }
-                        let active = channel.as_mut().expect("channel just ensured");
-                        observer.item_started(&item);
-                        match active.round_trip(&item) {
-                            Ok(result) => {
-                                if let Some(error) = &result.error {
-                                    fail(format!(
-                                        "worker host '{addr}' failed on {}#{}: {error}",
-                                        item.scenario_id, item.part
-                                    ));
-                                    settle();
-                                    break;
-                                }
-                                if result.scenario_id != item.scenario_id
-                                    || result.part != item.part
-                                    || result.fingerprint != item.fingerprint
-                                {
-                                    fail(format!(
-                                        "worker host '{addr}' answered {}#{} with a result for {}#{} (protocol error)",
-                                        item.scenario_id,
-                                        item.part,
-                                        result.scenario_id,
-                                        result.part
-                                    ));
-                                    settle();
-                                    break;
-                                }
-                                active.completed += 1;
-                                let first_landing = merged
-                                    .lock()
-                                    .expect("merged lock")
-                                    .insert(result.fingerprint.clone());
-                                if first_landing {
-                                    observer.item_finished(&result);
-                                    results.lock().expect("results lock").push(result);
-                                } else {
-                                    // A half-dead host answered an item
-                                    // that was already re-queued and
-                                    // completed elsewhere.
-                                    eprintln!(
-                                        "warning: dropped a duplicate result for {}#{} from '{addr}' (fingerprint already merged)",
-                                        item.scenario_id, item.part
-                                    );
-                                }
-                                settle();
-                            }
-                            Err(e) if is_timeout(&e) => {
-                                // Per-item deadline: the host is hung
-                                // (connected, silent). Abandon the host
-                                // — a late reply on this channel would
-                                // desync the framing anyway — re-queue
-                                // the item on the survivors and end this
-                                // thread. No retry charge: the host is
-                                // at fault, not the item.
-                                drop(channel.take());
-                                eprintln!(
-                                    "warning: worker host '{addr}' hit the per-item deadline on {}#{} ({e}); re-queueing for the remaining hosts",
-                                    item.scenario_id, item.part
-                                );
-                                requeue(item, retries);
-                                break;
-                            }
-                            Err(e) => {
-                                // The channel is gone or confused: drop
-                                // it, re-queue the in-flight item and
-                                // reconnect lazily on the next loop
-                                // iteration. As with worker processes,
-                                // only deaths of *fresh* connections
-                                // (no completed items) are charged to
-                                // the item — that is the toxic-item
-                                // signature.
-                                let fresh_death = channel
-                                    .take()
-                                    .map(|dead| dead.completed == 0)
-                                    .unwrap_or(true);
-                                let retries = if fresh_death { retries + 1 } else { retries };
-                                if retries > max_item_retries {
-                                    fail(format!(
-                                        "{}#{} killed {retries} fresh worker connection(s) ({e}); giving up",
-                                        item.scenario_id, item.part
-                                    ));
-                                    settle();
-                                    break;
-                                }
-                                let pause = retry_backoff_millis(&item.fingerprint, retries);
-                                eprintln!(
-                                    "warning: worker host '{addr}' failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{} charged retries)",
-                                    item.scenario_id,
-                                    item.part,
-                                    max_item_retries
-                                );
-                                // detlint: allow(D002) reason="bounded retry backoff; the pause is deterministic (fingerprint-derived) and its duration never feeds back into any output"
-                                std::thread::sleep(Duration::from_millis(pause));
-                                requeue(item, retries);
-                            }
-                        }
-                    }
-                    // Dropping the channel closes the socket; the host
-                    // sees EOF and ends the connection cleanly.
-                });
-            }
-        });
-        if let Some(error) = fatal.into_inner().expect("fatal lock") {
-            return Err(error);
-        }
-        let stranded = queue.into_inner().expect("queue lock").pending.len();
-        if stranded > 0 {
-            return Err(ExecutorError::new(format!(
-                "all {} worker host(s) are gone with {stranded} of {total} item(s) still queued",
-                self.workers.len()
-            )));
-        }
-        Ok(results.into_inner().expect("results lock"))
+        dispatch(
+            self,
+            items,
+            observer,
+            self.max_item_retries,
+            Some(self.deadline_ms),
+        )
     }
 }
 
-/// Serves one dispatcher connection: handshake, then assignments until
-/// EOF. Transport-agnostic so tests can drive it over in-memory buffers.
+/// The next line from a serve-side reader, `None` at EOF. Serve-side
+/// transports carry no read timeout; should one idle anyway, keep
+/// waiting.
+fn next_line<R: Read>(frames: &mut FrameReader<R>) -> io::Result<Option<String>> {
+    loop {
+        match frames.read_frame()? {
+            Frame::Line(line) => return Ok(Some(line)),
+            Frame::Eof => return Ok(None),
+            Frame::Idle => {}
+        }
+    }
+}
+
+/// The one serve loop every worker runs — a process worker over its
+/// stdin/stdout, a worker host over each TCP connection: handshake,
+/// then assignments until EOF. Transport-agnostic, so tests drive it
+/// over in-memory buffers.
 ///
 /// A hello with the wrong protocol version — or anything that is not a
 /// hello — is answered with [`WorkerFrame::Reject`] and an error return;
-/// a malformed assignment line is a protocol violation and terminates
-/// the connection without a response (the dispatcher charges it like a
-/// death). An unknown scenario id becomes a per-item error result, which
-/// the dispatcher treats as fatal. Every read assignment hits the
-/// `remote.host.item` failpoint ([`faults::points::REMOTE_HOST_ITEM`])
-/// before it is answered; the failpoint counter is process-wide, so a
-/// `crash@N` spec injects one deterministic host crash no matter how
-/// connections interleave (the bench host translates the legacy
-/// `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS` hook into exactly that spec).
+/// a malformed assignment line (or one over
+/// [`wire::MAX_FRAME_BYTES`]) is a protocol violation and ends the loop
+/// without a response (the dispatcher charges it like a death). Blank
+/// lines between assignments are skipped. An unknown scenario id becomes
+/// a per-item error result, which the dispatcher treats as fatal.
+///
+/// Every read assignment hits `item_point` before it is answered:
+/// [`faults::points::WORKER_ITEM`] on a process worker,
+/// [`faults::points::REMOTE_HOST_ITEM`] on a host. Failpoint counters
+/// are process-wide, so a `crash@N` spec injects one deterministic
+/// crash no matter how a host's connections interleave (the bench
+/// worker translates the legacy `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
+/// hook into exactly that spec). An injected error ends the loop without
+/// answering, which the dispatcher treats exactly like a death.
 ///
 /// # Errors
 /// Returns the underlying I/O error when the transport breaks or the
 /// dispatcher violates the protocol.
-pub fn serve_remote_connection<R, W, F>(mut input: R, mut output: W, resolve: F) -> io::Result<()>
+pub fn serve_remote_connection<R, W, F>(
+    input: R,
+    mut output: W,
+    item_point: &str,
+    resolve: F,
+) -> io::Result<()>
 where
-    R: BufRead,
+    R: Read,
     W: Write,
     F: Fn(&str) -> Option<Arc<dyn Scenario>>,
 {
-    let hello = match read_frame_line(&mut input)? {
-        Some(line) => line,
+    let mut frames = FrameReader::new(input);
+    let Some(hello) = next_line(&mut frames)? else {
         // EOF before any frame: a probe, not a dispatcher.
-        None => return Ok(()),
+        return Ok(());
     };
-    match serde_json::from_str::<DispatchFrame>(&hello) {
-        Ok(DispatchFrame::Hello { protocol }) if protocol == REMOTE_PROTOCOL_VERSION => {
-            send_frame(
-                &mut output,
-                &WorkerFrame::Welcome {
-                    protocol: REMOTE_PROTOCOL_VERSION,
-                },
-            )?;
-        }
-        Ok(DispatchFrame::Hello { protocol }) => {
-            let reason = format!(
-                "dispatcher speaks remote protocol v{protocol}, this host speaks v{REMOTE_PROTOCOL_VERSION}"
-            );
-            send_frame(
-                &mut output,
-                &WorkerFrame::Reject {
-                    reason: reason.clone(),
-                },
-            )?;
-            return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-        }
-        Ok(DispatchFrame::Assign(_)) => {
-            let reason = "assignment before handshake".to_string();
-            send_frame(
-                &mut output,
-                &WorkerFrame::Reject {
-                    reason: reason.clone(),
-                },
-            )?;
-            return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-        }
-        Err(e) => {
-            let reason = format!("unparseable hello frame: {e}");
-            send_frame(
-                &mut output,
-                &WorkerFrame::Reject {
-                    reason: reason.clone(),
-                },
-            )?;
-            return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
-        }
-    }
-    loop {
-        let line = match read_frame_line(&mut input)? {
-            Some(line) => line,
-            // EOF: the dispatcher is done with this channel.
-            None => return Ok(()),
+    let refusal = match serde_json::from_str::<DispatchFrame>(&hello) {
+        Ok(DispatchFrame::Hello { protocol }) if protocol == REMOTE_PROTOCOL_VERSION => None,
+        Ok(DispatchFrame::Hello { protocol }) => Some(format!(
+            "dispatcher speaks remote protocol v{protocol}, this host speaks v{REMOTE_PROTOCOL_VERSION}"
+        )),
+        Ok(DispatchFrame::Assign(_)) => Some("assignment before handshake".to_string()),
+        Err(e) => Some(format!("unparseable hello frame: {e}")),
+    };
+    if let Some(reason) = refusal {
+        let reject = WorkerFrame::Reject {
+            reason: reason.clone(),
         };
+        wire::write_frame(&mut output, &reject)?;
+        return Err(io::Error::new(io::ErrorKind::InvalidData, reason));
+    }
+    let welcome = WorkerFrame::Welcome {
+        protocol: REMOTE_PROTOCOL_VERSION,
+    };
+    wire::write_frame(&mut output, &welcome)?;
+    // EOF: the dispatcher is done with this channel.
+    while let Some(line) = next_line(&mut frames)? {
         if line.trim().is_empty() {
             continue;
         }
@@ -698,36 +726,34 @@ where
                 format!("malformed dispatch frame: {e}"),
             )
         })?;
-        let item = match frame {
-            DispatchFrame::Assign(item) => item,
-            DispatchFrame::Hello { .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "duplicate handshake on an established channel",
-                ))
-            }
+        let DispatchFrame::Assign(item) = frame else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "duplicate handshake on an established channel",
+            ));
         };
-        faults::hit_io(faults::points::REMOTE_HOST_ITEM)?;
+        faults::hit_io(item_point)?;
         let result = match resolve(&item.scenario_id) {
             Some(scenario) => PartResult::ok(&item, run_work_item(&*scenario, &item)),
             None => PartResult::failed(
                 &item,
                 format!(
-                    "scenario '{}' is not registered on this worker host",
+                    "scenario '{}' is not registered on this worker",
                     item.scenario_id
                 ),
             ),
         };
-        send_frame(&mut output, &WorkerFrame::Completed(result))?;
+        wire::write_frame(&mut output, &WorkerFrame::Completed(result))?;
     }
+    Ok(())
 }
 
 /// Runs a worker host: accepts dispatcher connections on `listener`
 /// forever (one thread per connection, registry resolved through
-/// `resolve`) and serves each with [`serve_remote_connection`]. Fault
-/// schedules armed in this process (via [`crate::faults::arm_from_env`])
-/// apply host-wide: the `remote.host.item` counter spans every
-/// connection.
+/// `resolve`) and serves each with [`serve_remote_connection`] under the
+/// `remote.host.item` failpoint. Fault schedules armed in this process
+/// (via [`crate::faults::arm_from_env`]) apply host-wide: the
+/// `remote.host.item` counter spans every connection.
 ///
 /// Never returns `Ok`: a worker host runs until its process is killed.
 ///
@@ -747,20 +773,303 @@ where
         scope.spawn(move || {
             // Mirror of the dispatcher side: request/response frames must
             // not sit in Nagle's buffer waiting for a delayed ACK.
-            if let Err(e) = stream.set_nodelay(true) {
-                eprintln!("warning: dropping connection from {peer}: {e}");
-                return;
-            }
-            let reader = match stream.try_clone() {
-                Ok(clone) => BufReader::new(clone),
+            let reader = match stream.set_nodelay(true).and_then(|()| stream.try_clone()) {
+                Ok(reader) => reader,
                 Err(e) => {
                     eprintln!("warning: dropping connection from {peer}: {e}");
                     return;
                 }
             };
-            if let Err(e) = serve_remote_connection(reader, &stream, resolve) {
+            let item_point = faults::points::REMOTE_HOST_ITEM;
+            if let Err(e) = serve_remote_connection(reader, &stream, item_point, resolve) {
                 eprintln!("warning: connection from {peer} ended with a protocol error: {e}");
             }
         });
     })
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::scenario_api::ScenarioParams;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// How one scripted in-memory worker channel behaves.
+    #[derive(Clone, Copy)]
+    enum Script {
+        /// Answers every assignment.
+        Echo,
+        /// Answers every assignment twice.
+        Twice,
+        /// Answers this many assignments, then dies holding the next.
+        DieAfter(usize),
+        /// Answers with another item's identity.
+        WrongEcho,
+        /// Welcomes, then never answers: every read times out.
+        Idle,
+        /// Refuses the handshake.
+        Reject,
+    }
+
+    /// The worker end of a fake channel, shared by its two halves: the
+    /// writer feeds it frames, the reader drains its replies.
+    struct Peer {
+        script: Script,
+        answered: usize,
+        inbox: Vec<u8>,
+        outbox: VecDeque<u8>,
+        dead: bool,
+    }
+
+    impl Peer {
+        fn reply(&mut self, frame: &WorkerFrame) {
+            self.outbox.extend(wire::encode_frame(frame).unwrap());
+        }
+
+        fn on_frame(&mut self, frame: DispatchFrame) {
+            let item = match (frame, self.script) {
+                (DispatchFrame::Hello { .. }, Script::Reject) => {
+                    let reason = "fake refusal".to_string();
+                    return self.reply(&WorkerFrame::Reject { reason });
+                }
+                (DispatchFrame::Hello { .. }, _) => {
+                    let protocol = REMOTE_PROTOCOL_VERSION;
+                    return self.reply(&WorkerFrame::Welcome { protocol });
+                }
+                (DispatchFrame::Assign(item), _) => item,
+            };
+            let mut result = PartResult::ok(&item, Vec::new());
+            let copies = match self.script {
+                Script::Idle => 0,
+                Script::DieAfter(n) if self.answered == n => {
+                    self.dead = true;
+                    0
+                }
+                Script::Twice => 2,
+                Script::WrongEcho => {
+                    result.part += 1;
+                    result.fingerprint = "bogus".to_string();
+                    1
+                }
+                _ => 1,
+            };
+            for _ in 0..copies {
+                self.reply(&WorkerFrame::Completed(result.clone()));
+            }
+            self.answered += 1;
+        }
+    }
+
+    struct FakeReader(Arc<Mutex<Peer>>);
+
+    impl Read for FakeReader {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let mut peer = self.0.lock().unwrap();
+            if peer.outbox.is_empty() {
+                return match peer.script {
+                    Script::Idle => Err(io::ErrorKind::TimedOut.into()),
+                    _ => Ok(0),
+                };
+            }
+            let n = buf.len().min(peer.outbox.len());
+            for (slot, byte) in buf.iter_mut().zip(peer.outbox.drain(..n)) {
+                *slot = byte;
+            }
+            Ok(n)
+        }
+    }
+
+    struct FakeWriter(Arc<Mutex<Peer>>);
+
+    impl Write for FakeWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut peer = self.0.lock().unwrap();
+            if peer.dead {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            peer.inbox.extend_from_slice(buf);
+            while let Some(end) = peer.inbox.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = peer.inbox.drain(..=end).collect();
+                let frame = serde_json::from_slice(&line[..end]).unwrap();
+                peer.on_frame(frame);
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// In-memory stand-in for both transports: `script(slot, open)`
+    /// decides how the `open`-th channel of `slot` behaves, `None`
+    /// making that open fail.
+    struct Fake {
+        script: fn(usize, usize) -> Option<Script>,
+        opens: Mutex<Vec<usize>>,
+    }
+
+    impl Transport for Fake {
+        const OPEN_FAILED: &'static str = "cannot reach";
+
+        fn slots(&self) -> usize {
+            self.opens.lock().unwrap().len()
+        }
+
+        fn peer(&self, slot: usize) -> String {
+            format!("fake worker {slot}")
+        }
+
+        fn open(&self, slot: usize) -> io::Result<Link> {
+            let open = {
+                let mut opens = self.opens.lock().unwrap();
+                opens[slot] += 1;
+                opens[slot] - 1
+            };
+            let script = (self.script)(slot, open).ok_or(io::ErrorKind::ConnectionRefused)?;
+            let peer = Arc::new(Mutex::new(Peer {
+                script,
+                answered: 0,
+                inbox: Vec::new(),
+                outbox: VecDeque::new(),
+                dead: false,
+            }));
+            Ok(Link {
+                reader: Box::new(FakeReader(peer.clone())),
+                writer: Box::new(FakeWriter(peer)),
+            })
+        }
+    }
+
+    /// Dispatches `n` items over `slots` scripted channels with a
+    /// three-poll deadline; returns the outcome and the opens per slot.
+    fn run(
+        slots: usize,
+        n: usize,
+        script: fn(usize, usize) -> Option<Script>,
+    ) -> (Result<Vec<PartResult>, ExecutorError>, Vec<usize>) {
+        let fake = Fake {
+            script,
+            opens: Mutex::new(vec![0; slots]),
+        };
+        let items = (0..n)
+            .map(|part| WorkItem {
+                scenario_id: "toy".to_string(),
+                part,
+                part_seed: part as u64,
+                fingerprint: format!("{part:064x}"),
+                params: ScenarioParams::with_seed(1),
+                threads: 1,
+            })
+            .collect();
+        let deadline = Some(3 * REMOTE_READ_POLL_MS);
+        let outcome = dispatch(&fake, items, &(), DEFAULT_MAX_ITEM_RETRIES, deadline);
+        (outcome, fake.opens.into_inner().unwrap())
+    }
+
+    fn error_of(outcome: Result<Vec<PartResult>, ExecutorError>) -> String {
+        outcome.unwrap_err().to_string()
+    }
+
+    #[test]
+    fn every_item_lands_exactly_once_through_deaths_duplicates_and_hangs() {
+        let (outcome, opens) = run(4, 24, |slot, open| {
+            Some(match (slot, open) {
+                (0, _) => Script::DieAfter(1),
+                (1, _) => Script::Twice,
+                (2, 0) => Script::DieAfter(0),
+                (2, _) => Script::Echo,
+                _ => Script::Idle,
+            })
+        });
+        let mut parts: Vec<usize> = outcome.unwrap().iter().map(|r| r.part).collect();
+        parts.sort_unstable();
+        assert_eq!(parts, (0..24).collect::<Vec<_>>());
+        assert!(opens[3] <= 1, "the hung worker is abandoned, not reopened");
+    }
+
+    #[test]
+    fn a_toxic_item_gives_up_after_the_retry_budget() {
+        let (outcome, opens) = run(1, 1, |_, _| Some(Script::DieAfter(0)));
+        let message = error_of(outcome);
+        assert!(message.contains("giving up"), "{message}");
+        assert_eq!(opens, vec![DEFAULT_MAX_ITEM_RETRIES + 1]);
+    }
+
+    #[test]
+    fn a_wrong_identity_echo_is_fatal() {
+        let (outcome, _) = run(1, 2, |_, _| Some(Script::WrongEcho));
+        let message = error_of(outcome);
+        assert!(message.contains("protocol error"), "{message}");
+    }
+
+    #[test]
+    fn refusing_or_unreachable_workers_fail_the_run_up_front() {
+        let (outcome, _) = run(2, 4, |slot, _| {
+            Some(if slot == 0 {
+                Script::Reject
+            } else {
+                Script::Idle
+            })
+        });
+        let message = error_of(outcome);
+        assert!(message.contains("refused"), "{message}");
+        let (outcome, _) = run(1, 4, |_, _| None);
+        let message = error_of(outcome);
+        assert!(message.contains("cannot reach fake worker 0"), "{message}");
+    }
+
+    #[test]
+    fn the_run_fails_rather_than_hangs_when_every_worker_is_gone() {
+        // Slot 0 hangs past the deadline; slot 1 completes one item, dies
+        // and cannot be reopened. Work is left with nobody to run it.
+        let (outcome, opens) = run(2, 4, |slot, open| match (slot, open) {
+            (0, _) => Some(Script::Idle),
+            (_, 0) => Some(Script::DieAfter(1)),
+            _ => None,
+        });
+        let message = error_of(outcome);
+        assert!(message.contains("are gone"), "{message}");
+        assert_eq!(opens, vec![1, 2]);
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counted<R> {
+        inner: R,
+        consumed: Arc<AtomicUsize>,
+    }
+
+    impl<R: Read> Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed.fetch_add(n, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn the_tcp_serve_loop_drops_an_over_cap_frame() {
+        use crate::wire::endless::{Unterminated, CONSUME_BOUND, STREAM_BYTES};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            // Streams until the host hangs up.
+            io::copy(&mut Unterminated::new(STREAM_BYTES), &mut stream).is_err()
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let consumed = Arc::new(AtomicUsize::new(0));
+        let reader = Counted {
+            inner: stream.try_clone().unwrap(),
+            consumed: consumed.clone(),
+        };
+        let item_point = faults::points::REMOTE_HOST_ITEM;
+        let error = serve_remote_connection(reader, &stream, item_point, |_| None).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("frame exceeds"), "{error}");
+        assert!(consumed.load(Ordering::SeqCst) <= CONSUME_BOUND);
+        drop(stream);
+        assert!(client.join().unwrap(), "the host hung up mid-stream");
+    }
 }

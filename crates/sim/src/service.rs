@@ -5,8 +5,8 @@
 //! [`ResultCache`] and the executor backend configuration, and serves
 //! concurrent client connections over a Unix domain socket
 //! ([`Service::serve_unix`]) or TCP loopback ([`Service::serve_tcp`]).
-//! The wire protocol is newline-delimited JSON — the same framing
-//! discipline as the worker protocol in [`crate::executor`]: one
+//! The wire protocol is newline-delimited JSON, framed by
+//! [`crate::wire`] exactly like the dispatcher↔worker protocol: one
 //! [`Request`] frame per client line, one [`Event`] frame per daemon
 //! line. No HTTP stack is involved; `std::net` and
 //! `std::os::unix::net` suffice.
@@ -73,6 +73,8 @@ use crate::runner::{
     Backend, PartEvent, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
 };
 use crate::scenario_api::{ScenarioParams, ScenarioRegistry};
+use crate::wire;
+pub use crate::wire::{Frame, FrameReader};
 
 // The unused-import lint would otherwise flag these doc-link-only names.
 #[allow(unused_imports)]
@@ -715,13 +717,16 @@ impl Service {
     ///
     /// Malformed frames are answered with [`Event::Error`] and the
     /// connection keeps serving — a bad client can cost itself, never
-    /// the daemon. When the connection's transport has a read timeout
-    /// (the serve loops set one), idle periods poll the drain flag so a
-    /// silent client cannot stall shutdown.
+    /// the daemon. A frame over [`crate::wire::MAX_FRAME_BYTES`] drops
+    /// the connection instead: the stream cannot resynchronize. When the
+    /// connection's transport has a read timeout (the serve loops set
+    /// one), idle periods poll the drain flag so a silent client cannot
+    /// stall shutdown.
     ///
     /// # Errors
     /// Returns the underlying I/O error when the transport fails in a
-    /// way that is neither EOF nor a read timeout.
+    /// way that is neither EOF nor a read timeout, and the reader's
+    /// `InvalidData` error for an over-cap frame.
     pub fn handle_connection<R: Read, W: Write + Send>(
         &self,
         input: R,
@@ -893,7 +898,7 @@ impl<W: Write> EventSink<W> {
         if self.is_broken() {
             return;
         }
-        let line = serde_json::to_string(event).expect("events serialize");
+        let line = wire::encode_frame(event).expect("events serialize");
         let mut writer = self.writer.lock().expect("sink lock");
         // The `service.sink` failpoint models the peer vanishing mid
         // stream; a `partial` action additionally delivers a truncated
@@ -902,7 +907,7 @@ impl<W: Write> EventSink<W> {
         match faults::hit(faults::points::SERVICE_SINK) {
             Ok(faults::Injected::None) => {}
             Ok(faults::Injected::PartialWrite) => {
-                let _ = writer.write_all(&line.as_bytes()[..line.len() / 2]);
+                let _ = writer.write_all(&line[..line.len() / 2]);
                 let _ = writer.flush();
                 self.broken.store(true, Ordering::SeqCst);
                 return;
@@ -912,10 +917,7 @@ impl<W: Write> EventSink<W> {
                 return;
             }
         }
-        let outcome = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
+        let outcome = writer.write_all(&line).and_then(|()| writer.flush());
         if outcome.is_err() {
             self.broken.store(true, Ordering::SeqCst);
         }
@@ -924,80 +926,6 @@ impl<W: Write> EventSink<W> {
     /// Whether a previous write failed (the peer is gone).
     pub fn is_broken(&self) -> bool {
         self.broken.load(Ordering::SeqCst)
-    }
-}
-
-/// One read step of a [`FrameReader`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Frame {
-    /// A complete line (without its terminator).
-    Line(String),
-    /// The read timed out with no complete line buffered — the caller
-    /// may poll state (e.g. the drain flag) and try again.
-    Idle,
-    /// The peer closed the connection.
-    Eof,
-}
-
-/// An incremental NDJSON line reader that survives read timeouts.
-///
-/// `BufRead::read_line` would lose buffered partial lines across a
-/// timeout; this reader keeps partial bytes between calls, so a
-/// transport with a read timeout (as the serve loops configure) yields
-/// [`Frame::Idle`] without corrupting the stream.
-pub struct FrameReader<R: Read> {
-    input: R,
-    buffer: Vec<u8>,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps a reader.
-    pub fn new(input: R) -> Self {
-        FrameReader {
-            input,
-            buffer: Vec::new(),
-        }
-    }
-
-    /// Reads until one complete line, a timeout, or EOF.
-    ///
-    /// # Errors
-    /// Returns the underlying I/O error for failures that are neither
-    /// timeouts nor EOF.
-    pub fn read_frame(&mut self) -> io::Result<Frame> {
-        loop {
-            if let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
-                let rest = self.buffer.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buffer, rest);
-                line.pop(); // the '\n'
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.input.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buffer.is_empty() {
-                        return Ok(Frame::Eof);
-                    }
-                    // A final unterminated line; the next call sees EOF.
-                    let line = std::mem::take(&mut self.buffer);
-                    return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
-                }
-                Ok(read) => self.buffer.extend_from_slice(&chunk[..read]),
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(Frame::Idle)
-                }
-                Err(error) => return Err(error),
-            }
-        }
     }
 }
 
@@ -1633,6 +1561,24 @@ mod tests {
             "a final unterminated line is delivered"
         );
         assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+    }
+
+    #[test]
+    fn an_over_cap_request_frame_drops_the_connection_unanswered() {
+        use crate::wire::endless::{Unterminated, CONSUME_BOUND, STREAM_BYTES};
+        let input = Unterminated::new(STREAM_BYTES);
+        let consumed = input.consumed.clone();
+        let mut output = Vec::new();
+        let error = service(None)
+            .handle_connection(input, &mut output)
+            .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("frame exceeds"), "{error}");
+        assert!(
+            output.is_empty(),
+            "no Error frame: the stream cannot resync"
+        );
+        assert!(consumed.load(Ordering::SeqCst) <= CONSUME_BOUND);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use sim::executor::{PartResult, WorkItem};
 use sim::experiment::{ExperimentReport, Series};
+use sim::faults::points::REMOTE_HOST_ITEM;
 use sim::remote::{serve_remote_connection, DispatchFrame, WorkerFrame, REMOTE_PROTOCOL_VERSION};
 use sim::scenario_api::{Scenario, ScenarioParams};
 use sim::service::{Event, Request};
@@ -434,7 +435,7 @@ fn serve_lines(lines: &[&str]) -> (std::io::Result<()>, Vec<WorkerFrame>) {
         .map(|line| format!("{line}\n"))
         .collect::<String>();
     let mut output = Vec::new();
-    let outcome = serve_remote_connection(input.as_bytes(), &mut output, |id| {
+    let outcome = serve_remote_connection(input.as_bytes(), &mut output, REMOTE_HOST_ITEM, |id| {
         (id == "toy").then(|| Arc::new(Toy) as Arc<dyn Scenario>)
     });
     let frames = String::from_utf8(output)
