@@ -1601,4 +1601,75 @@ mod tests {
         assert_eq!(ids, vec![1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn job_spec_wire_bytes_are_pinned() {
+        // Literal frames, not round-trips: a client built against an
+        // older daemon must keep parsing what this one writes.
+        const NULLS: &str = r#""only":null,"seed":null,"full_scale":null,"overrides":null,"refresh":null,"jobs":null"#;
+        let cases = [
+            (
+                JobSpec {
+                    threads_per_item: Some(ThreadsSpec::Sequential),
+                    ..JobSpec::default()
+                },
+                r#""backend":null,"workers":null,"threads_per_item":"Sequential""#,
+            ),
+            (
+                JobSpec {
+                    threads_per_item: Some(ThreadsSpec::Auto),
+                    ..JobSpec::default()
+                },
+                r#""backend":null,"workers":null,"threads_per_item":"Auto""#,
+            ),
+            (
+                JobSpec {
+                    threads_per_item: Some(ThreadsSpec::Fixed(3)),
+                    ..JobSpec::default()
+                },
+                r#""backend":null,"workers":null,"threads_per_item":{"Fixed":3}"#,
+            ),
+            (
+                JobSpec {
+                    backend: Some(BackendSpec::Local),
+                    ..JobSpec::default()
+                },
+                r#""backend":"Local","workers":null,"threads_per_item":null"#,
+            ),
+            (
+                JobSpec {
+                    backend: Some(BackendSpec::Process),
+                    ..JobSpec::default()
+                },
+                r#""backend":"Process","workers":null,"threads_per_item":null"#,
+            ),
+            (
+                JobSpec {
+                    backend: Some(BackendSpec::Remote),
+                    ..JobSpec::default()
+                },
+                r#""backend":"Remote","workers":null,"threads_per_item":null"#,
+            ),
+        ];
+        for (spec, tail) in cases {
+            let expected = format!("{{{NULLS},{tail}}}");
+            assert_eq!(serde_json::to_string(&spec).unwrap(), expected);
+            assert_eq!(serde_json::from_str::<JobSpec>(&expected).unwrap(), spec);
+        }
+        let full = JobSpec {
+            only: Some(vec!["fig6".to_string()]),
+            seed: Some(7),
+            full_scale: Some(true),
+            overrides: Some(BTreeMap::from([("steps".to_string(), "5".to_string())])),
+            refresh: Some(true),
+            jobs: Some(2),
+            backend: Some(BackendSpec::Remote),
+            workers: Some(vec!["127.0.0.1:7070".to_string()]),
+            threads_per_item: Some(ThreadsSpec::Fixed(3)),
+        };
+        assert_eq!(
+            serde_json::to_string(&Request::Submit(full)).unwrap(),
+            r#"{"Submit":{"only":["fig6"],"seed":7,"full_scale":true,"overrides":{"steps":"5"},"refresh":true,"jobs":2,"backend":"Remote","workers":["127.0.0.1:7070"],"threads_per_item":{"Fixed":3}}}"#
+        );
+    }
 }
