@@ -30,6 +30,10 @@ impl Scenario for NonLookahead {
         "Ablation — greedy routing with and without NoN lookahead"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn parts(&self, _params: &ScenarioParams) -> usize {
         DEGREES.len()
     }

@@ -20,6 +20,10 @@ impl Scenario for RepairTrace {
         "Figure 3 — self-repair trace on a 3-regular graph with 12 nodes"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn run_part(
         &self,
         _part: usize,

@@ -25,6 +25,10 @@ impl Scenario for CentralityUnderTakedown {
         "Figure 4 — centrality under 30% deletions (k = 5/10/15, ±pruning)"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn parts(&self, _params: &ScenarioParams) -> usize {
         2 * DEGREES.len()
     }

@@ -29,6 +29,10 @@ impl Scenario for DdsrVersusNormal {
         "Figure 5 — DDSR vs. normal graph under incremental deletions"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn parts(&self, _params: &ScenarioParams) -> usize {
         2 * SIZES.len()
     }

@@ -23,6 +23,10 @@ impl Scenario for SoapCampaign {
         "Figure 7 — SOAP containment of a basic OnionBot"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn run_part(
         &self,
         _part: usize,

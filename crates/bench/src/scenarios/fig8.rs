@@ -20,6 +20,10 @@ impl Scenario for SuperOnionRecovery {
         "Figure 8 — SuperOnion construction and recovery under soaping"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn run_part(
         &self,
         _part: usize,

@@ -18,6 +18,10 @@ impl Scenario for CryptoCatalog {
         "Table I — cryptographic use in different botnets"
     }
 
+    fn override_keys(&self) -> Option<Vec<&str>> {
+        Some(vec![])
+    }
+
     fn run_part(
         &self,
         _part: usize,

@@ -26,6 +26,7 @@ use std::process::ExitCode;
 
 use sim::remote::{serve_remote_connection, serve_remote_host};
 
+use crate::job_flags::{self, JobFlags, Parsed};
 use crate::scenarios;
 
 /// Environment variable for deterministic crash injection: a worker with
@@ -108,38 +109,29 @@ Options:
   --help          show this help
 ";
 
+fn parse_serve_worker_options(args: &[String]) -> Result<Parsed<String>, String> {
+    let mut listen = None;
+    let parsed = job_flags::parse(args, JobFlags::None, |flag, args| {
+        if flag != "--listen" {
+            return Ok(false);
+        }
+        listen = Some(args.value(flag)?.to_string());
+        Ok(true)
+    })?;
+    let Parsed::Run(_) = parsed else {
+        return Ok(Parsed::Help);
+    };
+    listen
+        .map(Parsed::Run)
+        .ok_or_else(|| "serve-worker requires --listen ADDR".to_string())
+}
+
 /// Entry point for `run_experiments serve-worker` (args exclude the
 /// subcommand word). Runs until killed.
 pub fn serve_worker_main(args: &[String]) -> ExitCode {
-    let mut listen: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        match arg.as_str() {
-            "--listen" => match args.get(i) {
-                Some(value) => {
-                    listen = Some(value.clone());
-                    i += 1;
-                }
-                None => {
-                    eprintln!("error: --listen requires a value\n\n{SERVE_WORKER_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                print!("{SERVE_WORKER_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown option '{other}'\n\n{SERVE_WORKER_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let Some(addr) = listen else {
-        eprintln!("error: serve-worker requires --listen ADDR\n\n{SERVE_WORKER_USAGE}");
-        return ExitCode::from(2);
+    let addr = match job_flags::or_exit(parse_serve_worker_options(args), SERVE_WORKER_USAGE) {
+        Ok(addr) => addr,
+        Err(code) => return code,
     };
     let listener = match TcpListener::bind(&addr) {
         Ok(listener) => listener,

@@ -204,7 +204,11 @@ impl std::fmt::Debug for Backend {
 /// The hint can never change output bytes — the BFS kernel is
 /// deterministic at any thread count — so any setting is safe; it is
 /// purely a throughput knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// The same type travels on the service wire as
+/// [`JobSpec::threads_per_item`](crate::service::JobSpec::threads_per_item)
+/// (under the alias [`ThreadsSpec`](crate::service::ThreadsSpec)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ThreadsPerItem {
     /// Keep intra-item work sequential (the pinned legacy behavior and
     /// the library default).

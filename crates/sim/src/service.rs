@@ -128,28 +128,9 @@ pub enum BackendSpec {
     Remote,
 }
 
-/// The intra-item thread budget a job asks for, on the wire (mirrors
-/// [`ThreadsPerItem`], which is not itself a protocol type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThreadsSpec {
-    /// Sequential intra-item sweeps.
-    Sequential,
-    /// Split the machine's cores across in-flight items.
-    Auto,
-    /// A fixed thread count per item.
-    Fixed(usize),
-}
-
-impl ThreadsSpec {
-    /// The runner policy this wire value selects.
-    pub fn to_policy(self) -> ThreadsPerItem {
-        match self {
-            ThreadsSpec::Sequential => ThreadsPerItem::Sequential,
-            ThreadsSpec::Auto => ThreadsPerItem::Auto,
-            ThreadsSpec::Fixed(threads) => ThreadsPerItem::Fixed(threads),
-        }
-    }
-}
+/// The intra-item thread budget a job asks for, on the wire: the
+/// runner's own policy type, under its protocol name.
+pub use crate::runner::ThreadsPerItem as ThreadsSpec;
 
 /// One job submission: scenario selector, seed, scale, overrides and
 /// execution knobs. Every field is optional on the wire — an absent (or
@@ -181,15 +162,10 @@ pub struct JobSpec {
     /// the service's configuration).
     pub workers: Option<Vec<String>>,
     /// Intra-item thread budget (default: the service's configuration).
-    pub threads_per_item: Option<ThreadsSpec>,
+    pub threads_per_item: Option<ThreadsPerItem>,
 }
 
 impl JobSpec {
-    /// A spec that runs the whole registry with every default.
-    pub fn all() -> Self {
-        JobSpec::default()
-    }
-
     /// The scenario parameters this spec resolves to — identical to what
     /// the one-shot CLI would build from the same seed/scale/overrides.
     pub fn params(&self) -> ScenarioParams {
@@ -332,7 +308,10 @@ pub struct JobStatus {
     pub cache: Option<CacheStats>,
 }
 
-/// How a [`Service`] executes the jobs it accepts.
+/// How jobs execute: the defaults a [`Service`] (or a one-shot CLI run)
+/// applies to every [`JobSpec`] field left unset, plus the shared cache
+/// and the service limits. [`ServiceConfig::runner`] turns a spec into
+/// its [`Runner`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Default worker count per job.
@@ -373,6 +352,56 @@ impl Default for ServiceConfig {
             max_active_jobs: DEFAULT_MAX_ACTIVE_JOBS,
             remote_deadline_ms: None,
         }
+    }
+}
+
+impl ServiceConfig {
+    /// The runner that executes `spec` under this configuration: every
+    /// field the spec leaves unset falls back to the configured default.
+    /// This is the one place a job becomes a [`Runner`], for the daemon
+    /// and the one-shot CLI alike.
+    ///
+    /// # Errors
+    /// Returns a message when the requested backend is unavailable: a
+    /// process job without a [`WorkerCommand`], or a remote job without
+    /// worker hosts.
+    pub fn runner(&self, spec: &JobSpec) -> Result<Runner, String> {
+        let backend = match spec.backend.unwrap_or(self.backend) {
+            BackendSpec::Local => Backend::Local,
+            BackendSpec::Process => {
+                Backend::Process(self.worker_command.clone().ok_or_else(|| {
+                    "this service has no worker command configured; \
+                     the process backend is unavailable"
+                        .to_string()
+                })?)
+            }
+            BackendSpec::Remote => {
+                let workers = spec
+                    .workers
+                    .clone()
+                    .filter(|workers| !workers.is_empty())
+                    .unwrap_or_else(|| self.workers.clone());
+                if workers.is_empty() {
+                    return Err("this service has no worker hosts configured; \
+                                the remote backend is unavailable"
+                        .to_string());
+                }
+                Backend::Remote(workers)
+            }
+        };
+        let mut runner = Runner::new(spec.params())
+            .jobs(spec.jobs.unwrap_or(self.jobs))
+            .backend(backend)
+            .threads_per_item(spec.threads_per_item.unwrap_or(self.threads_per_item));
+        if let Some(millis) = self.remote_deadline_ms {
+            runner = runner.remote_deadline_ms(millis);
+        }
+        if let Some(cache) = &self.cache {
+            runner = runner
+                .with_cache(cache.clone())
+                .refresh(spec.refresh.unwrap_or(false));
+        }
+        Ok(runner)
     }
 }
 
@@ -474,36 +503,6 @@ impl Service {
         }
     }
 
-    fn resolve_backend(&self, spec: &JobSpec) -> Result<Backend, String> {
-        match spec.backend.unwrap_or(self.config.backend) {
-            BackendSpec::Local => Ok(Backend::Local),
-            BackendSpec::Process => self
-                .config
-                .worker_command
-                .clone()
-                .map(Backend::Process)
-                .ok_or_else(|| {
-                    "this service has no worker command configured; \
-                     the process backend is unavailable"
-                        .to_string()
-                }),
-            BackendSpec::Remote => {
-                let workers = spec
-                    .workers
-                    .clone()
-                    .filter(|workers| !workers.is_empty())
-                    .unwrap_or_else(|| self.config.workers.clone());
-                if workers.is_empty() {
-                    Err("this service has no worker hosts configured; \
-                         the remote backend is unavailable"
-                        .to_string())
-                } else {
-                    Ok(Backend::Remote(workers))
-                }
-            }
-        }
-    }
-
     /// Executes one submission synchronously on the calling (connection)
     /// thread, streaming events into `sink`. Concurrency across clients
     /// comes from one connection thread per client; parallelism *within*
@@ -547,14 +546,18 @@ impl Service {
                 })
             });
         let backend = if fully_cached {
-            Backend::Local
+            Some(BackendSpec::Local)
         } else {
-            match self.resolve_backend(spec) {
-                Ok(backend) => backend,
-                Err(message) => {
-                    sink.send(&Event::Error { job: None, message });
-                    return;
-                }
+            spec.backend
+        };
+        let runner = match self.config.runner(&JobSpec {
+            backend,
+            ..spec.clone()
+        }) {
+            Ok(runner) => runner,
+            Err(message) => {
+                sink.send(&Event::Error { job: None, message });
+                return;
             }
         };
         let parts_total: usize = selected.iter().map(|s| s.parts(&params).max(1)).sum();
@@ -609,22 +612,7 @@ impl Service {
             return;
         }
 
-        let mut runner = Runner::new(params)
-            .jobs(spec.jobs.unwrap_or(self.config.jobs))
-            .backend(backend)
-            .threads_per_item(
-                spec.threads_per_item
-                    .map_or(self.config.threads_per_item, ThreadsSpec::to_policy),
-            )
-            .cancel_token(cancel.clone());
-        if let Some(millis) = self.config.remote_deadline_ms {
-            runner = runner.remote_deadline_ms(millis);
-        }
-        if let Some(cache) = &self.config.cache {
-            runner = runner
-                .with_cache(cache.clone())
-                .refresh(spec.refresh.unwrap_or(false));
-        }
+        let runner = runner.cancel_token(cancel.clone());
         let observer = JobObserver {
             service: self,
             job,
@@ -1493,7 +1481,7 @@ mod tests {
 
     #[test]
     fn job_spec_defaults_reproduce_the_cli_defaults() {
-        let params = JobSpec::all().params();
+        let params = JobSpec::default().params();
         assert_eq!(params, ScenarioParams::default());
         let spec = JobSpec {
             seed: Some(9),
