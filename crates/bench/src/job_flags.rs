@@ -241,25 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn unrelated_flag_values_never_change_the_scale() {
-        // Regression: a flag value that happens to be the word "full"
-        // (or contains it) must not flip the scale.
-        // A front-end flag's value goes to the front end, never to the
-        // scale.
-        for value in ["full", "fullresults"] {
-            let mut out = None;
-            let parsed = parse(&args(&["--out", value]), JobFlags::All, |flag, args| {
-                out = Some(args.value(flag)?.to_string());
-                Ok(true)
-            });
-            assert!(matches!(parsed, Ok(Parsed::Run(spec)) if spec.full_scale.is_none()));
-            assert_eq!(out.as_deref(), Some(value));
-        }
-        assert!(!full(&["--only", "full"]));
-        assert!(!full(&["--only", "fig4", "--jobs", "8"]));
-    }
-
-    #[test]
     fn job_flags_fill_the_spec_and_repeat_by_one_rule() {
         let parsed = spec(&[
             "--only",

@@ -122,4 +122,54 @@ mod tests {
         params.full_scale = true;
         assert_eq!(Scale::from_params(&params), Scale::Full);
     }
+
+    /// The scale [`job_flags::parse`] reads from `args`, with `--out`
+    /// taken by the front end, as the one-shot run does.
+    fn from_args(args: &[&str]) -> Result<(Scale, Option<String>), String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut out = None;
+        let parsed = job_flags::parse(&args, job_flags::JobFlags::All, |flag, args| {
+            if flag != "--out" {
+                return Ok(false);
+            }
+            out = Some(args.value(flag)?.to_string());
+            Ok(true)
+        })?;
+        let job_flags::Parsed::Run(spec) = parsed else {
+            panic!("unexpected help");
+        };
+        let scale = if spec.full_scale == Some(true) {
+            Scale::Full
+        } else {
+            Scale::Quick
+        };
+        Ok((scale, out))
+    }
+
+    #[test]
+    fn from_args_ignores_unrelated_flags() {
+        // Regression: the old `from_env` scanned raw `std::env::args()` for
+        // the substring "full", so flags like `--out fullresults` or a
+        // binary path containing "full" flipped the scale.
+        assert_eq!(
+            from_args(&["--out", "fullresults", "--jobs", "8"]),
+            Ok((Scale::Quick, Some("fullresults".to_string())))
+        );
+        assert_eq!(from_args(&["--only", "fig4"]), Ok((Scale::Quick, None)));
+    }
+
+    #[test]
+    fn bare_scale_words_only_count_in_first_position() {
+        // Regression: `--out full` must not flip the scale just because a
+        // flag value happens to be the word "full".
+        assert_eq!(
+            from_args(&["--out", "full"]),
+            Ok((Scale::Quick, Some("full".to_string())))
+        );
+        assert_eq!(from_args(&["--only", "full"]), Ok((Scale::Quick, None)));
+        // The legacy positional form is gone: a bare scale word is an
+        // unknown option even as the leading argument, never a scale.
+        assert!(from_args(&["full", "--jobs", "2"]).is_err());
+        assert!(from_args(&["quick"]).is_err());
+    }
 }
