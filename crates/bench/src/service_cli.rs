@@ -53,6 +53,14 @@ fn transport_flag(flag: &str, args: &mut Args<'_>) -> Result<Option<Transport>, 
     }))
 }
 
+/// The value of `--remote-deadline-ms MS` (MS >= 1), a flag of the
+/// one-shot run and `serve`.
+fn deadline_value(flag: &str, args: &mut Args<'_>) -> Result<u64, String> {
+    let value = args.value(flag)?;
+    let millis = value.parse().ok().filter(|&ms| ms >= 1);
+    millis.ok_or_else(|| format!("invalid --remote-deadline-ms value '{value}' (MS >= 1)"))
+}
+
 /// The `--out DIR` / `--format FMT` flags of the front ends that render
 /// a summary (the one-shot run and `submit`).
 #[derive(Debug, Default)]
@@ -260,13 +268,7 @@ pub fn parse_run_options(args: &[String]) -> Result<Parsed<RunOptions>, String> 
         match flag {
             "--list" => list = true,
             "--json" => json = true,
-            "--remote-deadline-ms" => {
-                let value = args.value(flag)?;
-                let millis = value.parse::<u64>().ok().filter(|&ms| ms >= 1);
-                remote_deadline_ms = Some(millis.ok_or_else(|| {
-                    format!("invalid --remote-deadline-ms value '{value}' (MS >= 1)")
-                })?);
-            }
+            "--remote-deadline-ms" => remote_deadline_ms = Some(deadline_value(flag, args)?),
             "--faults" => {
                 let value = args.value(flag)?;
                 // Validate eagerly so a typo'd point name fails the
@@ -444,13 +446,7 @@ fn parse_serve_options(args: &[String]) -> Result<Parsed<ServeOptions>, String> 
                         format!("invalid --max-jobs value '{value}' (need N >= 1)")
                     })?;
             }
-            "--remote-deadline-ms" => {
-                let value = args.value(flag)?;
-                let millis = value.parse::<u64>().ok().filter(|&ms| ms >= 1);
-                remote_deadline_ms = Some(millis.ok_or_else(|| {
-                    format!("invalid --remote-deadline-ms value '{value}' (need MS >= 1)")
-                })?);
-            }
+            "--remote-deadline-ms" => remote_deadline_ms = Some(deadline_value(flag, args)?),
             _ => return cache.flag(flag, args),
         }
         Ok(true)

@@ -3,13 +3,16 @@
 //! several worker counts, worker-kill recovery with identical output,
 //! retry exhaustion for an item that keeps killing workers, and cache
 //! sharing across backends (parts computed by worker subprocesses replay
-//! as hits in a local run, byte-identically).
+//! as hits in a local run, byte-identically), and one dispatch schedule
+//! whether or not a cancel token is attached (a cancellable run spawns
+//! its `jobs` workers once).
 //!
 //! The worker subprocess is this package's own `run_experiments` binary
 //! in its hidden `worker` mode; Cargo points the tests at it via
 //! `CARGO_BIN_EXE_run_experiments`.
 
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use onionbots_bench::scenarios;
@@ -171,5 +174,31 @@ fn parts_computed_by_workers_replay_as_local_cache_hits_byte_identically() {
     assert!(stats.all_hits(), "{stats:?}");
     assert_eq!(stats.hits, PARTS);
     assert_eq!(warm.to_json(), cold.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_cancellable_process_run_spawns_its_workers_once() {
+    let dir = temp_dir("spawn-count");
+    std::fs::create_dir_all(&dir).unwrap();
+    let counter = dir.join("spawns");
+    // Each spawned worker appends one line to the counter file, then
+    // becomes the real worker.
+    let counting = WorkerCommand::new("/bin/sh")
+        .arg("-c")
+        .arg("echo spawn >> \"$0\"; exec \"$1\" worker")
+        .arg(counter.display().to_string())
+        .arg(env!("CARGO_BIN_EXE_run_experiments"));
+    let fig6 = || scenarios::registry().select(&["fig6".to_string()]).unwrap();
+    let reference = Runner::new(ScenarioParams::default()).run(&fig6());
+    let summary = Runner::new(ScenarioParams::default())
+        .jobs(2)
+        .backend(Backend::Process(counting))
+        .cancel_token(Arc::new(AtomicBool::new(false)))
+        .run(&fig6());
+    assert_eq!(summary.to_json(), reference.to_json());
+    let spawns = std::fs::read_to_string(&counter).unwrap().lines().count();
+    assert_eq!(spawns, 2, "one worker per job for all 15 parts");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,12 +10,12 @@
 //! results — lives entirely above the backend and behaves identically no
 //! matter which backend runs the misses.
 //!
-//! Three backends implement the [`Executor`] trait:
+//! Three backends implement the one-method [`Executor`] trait, and each
+//! run hands its whole batch to one `execute` call:
 //!
-//! * [`LocalExecutor`] — the in-process `std::thread` fan-out the
-//!   `Runner` used to hard-wire, extracted with its behavior pinned:
-//!   sequential in-order execution for one job or one item, a shared
-//!   work queue drained by `jobs` scoped threads otherwise.
+//! * [`LocalExecutor`] — in-process: `jobs` workers drain a shared item
+//!   queue, on the calling thread when the batch has one worker and on
+//!   scoped threads otherwise.
 //! * [`ProcessExecutor`] — spawns `jobs` worker subprocesses (a
 //!   [`WorkerCommand`], e.g. `run_experiments worker`), each a worker
 //!   host whose channel is its stdin/stdout.
@@ -25,10 +25,13 @@
 //! The two out-of-process backends share one dispatcher and one serve
 //! loop ([`crate::remote`]): the same handshake and frames, the same
 //! re-queue on worker death, bounded fresh-death retries, backoff and
-//! fingerprint dedup; only how a channel is opened differs. Because
-//! every backend consumes the same serialized work items and per-part
-//! seeding makes results position-independent, a `RunSummary` is
-//! byte-identical across backends and worker counts.
+//! fingerprint dedup; only how a channel is opened differs. Every
+//! backend's queue asks its [`ExecutionObserver`] whether the run was
+//! cancelled before it starts an item, and stops with
+//! [`ExecutorError::cancelled`] once it was. Because every backend
+//! consumes the same serialized work items and per-part seeding makes
+//! results position-independent, a `RunSummary` is byte-identical across
+//! backends and worker counts.
 
 // Executors parse what workers send back: panicking extractors are
 // banned here (the test module opts back in, where a panic is the
@@ -211,6 +214,7 @@ pub fn run_work_item(scenario: &dyn Scenario, item: &WorkItem) -> Vec<Experiment
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorError {
     message: String,
+    cancelled: bool,
 }
 
 impl ExecutorError {
@@ -218,7 +222,22 @@ impl ExecutorError {
     pub fn new(message: impl Into<String>) -> Self {
         ExecutorError {
             message: message.into(),
+            cancelled: false,
         }
+    }
+
+    /// The run was cancelled with `pending` of its `total` items not yet
+    /// started.
+    pub fn cancelled(pending: usize, total: usize) -> Self {
+        ExecutorError {
+            message: format!("job cancelled with {pending} of {total} item(s) still pending"),
+            cancelled: true,
+        }
+    }
+
+    /// Whether the run stopped because it was cancelled.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancelled
     }
 }
 
@@ -232,7 +251,8 @@ impl std::error::Error for ExecutorError {}
 
 /// Live notifications emitted while a backend executes a batch, so a
 /// caller (the simulation service daemon, a progress UI) can stream
-/// per-item lifecycle events instead of waiting for the whole batch.
+/// per-item lifecycle events instead of waiting for the whole batch — and
+/// the backend's way to ask whether the run was cancelled.
 ///
 /// Events are **informational**: they are emitted from worker threads in
 /// completion order, before the `Runner`'s validation pass, and a retried
@@ -249,9 +269,16 @@ pub trait ExecutionObserver: Sync {
     fn item_finished(&self, result: &PartResult) {
         let _ = result;
     }
+
+    /// Whether the run was cancelled. Backends check it before starting
+    /// each item; once it reads `true` they start nothing more and fail
+    /// with [`ExecutorError::cancelled`].
+    fn cancelled(&self) -> bool {
+        false
+    }
 }
 
-/// The no-op observer: `execute` is `execute_observed` with `&()`.
+/// The no-op observer: no events, never cancelled.
 impl ExecutionObserver for () {}
 
 /// A pluggable execution backend.
@@ -262,44 +289,27 @@ impl ExecutionObserver for () {}
 /// Backends retry transient failures themselves; an `Err` means the batch
 /// could not be completed and the run must fail.
 pub trait Executor: Send + Sync {
-    /// Executes every item, returning their results in completion order.
+    /// Executes every item, returning their results in completion order,
+    /// and streams per-item lifecycle events to `observer` as items start
+    /// and finish. A backend that honours [`ExecutionObserver::cancelled`]
+    /// checks it before starting each item.
     ///
     /// # Errors
     /// Returns an [`ExecutorError`] when any item cannot be executed
-    /// (unknown scenario, worker that keeps dying, ...).
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError>;
-
-    /// Like [`execute`](Self::execute), additionally streaming per-item
-    /// lifecycle events to `observer` as items start and finish.
-    ///
-    /// The default implementation is the batch fallback for custom
-    /// executors that cannot observe their items mid-flight: it runs
-    /// [`execute`](Self::execute) and then reports every result as
-    /// finished. The built-in backends override it to emit events live
-    /// from their worker threads; either way the returned results are
-    /// bit-identical to an unobserved `execute` call.
-    ///
-    /// # Errors
-    /// Returns an [`ExecutorError`] exactly like [`execute`](Self::execute).
-    fn execute_observed(
+    /// (unknown scenario, worker that keeps dying, ...) or the run was
+    /// cancelled.
+    fn execute(
         &self,
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
-    ) -> Result<Vec<PartResult>, ExecutorError> {
-        let results = self.execute(items)?;
-        for result in &results {
-            observer.item_finished(result);
-        }
-        Ok(results)
-    }
+    ) -> Result<Vec<PartResult>, ExecutorError>;
 }
 
-/// The in-process backend: the `std::thread` fan-out previously embedded
-/// in the `Runner`, extracted verbatim.
+/// The in-process backend: `jobs` workers drain one shared item queue.
 ///
-/// One job (or at most one item) executes sequentially in submission
-/// order on the calling thread; otherwise `jobs` scoped threads drain a
-/// shared queue.
+/// A batch with one worker (one job, or at most one item) executes in
+/// submission order on the calling thread; otherwise `min(jobs, items)`
+/// scoped threads run the same worker loop.
 pub struct LocalExecutor {
     scenarios: Vec<Arc<dyn Scenario>>,
     jobs: usize,
@@ -327,74 +337,62 @@ impl LocalExecutor {
 }
 
 impl Executor for LocalExecutor {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
-        // The failpoint turns into the same clean typed error on both
-        // paths: an injected fault fails the batch, never a single item
-        // silently.
-        let injected = |item: &WorkItem, e: io::Error| {
-            ExecutorError::new(format!(
-                "local executor failed on {}#{}: {e}",
-                item.scenario_id, item.part
-            ))
-        };
-        if self.jobs == 1 || items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|item| {
-                    let scenario = self.resolve(&item.scenario_id)?;
-                    faults::hit_io(faults::points::LOCAL_ITEM).map_err(|e| injected(&item, e))?;
-                    observer.item_started(&item);
-                    let reports = run_work_item(&**scenario, &item);
-                    let result = PartResult::ok(&item, reports);
-                    observer.item_finished(&result);
-                    Ok(result)
-                })
-                .collect();
-        }
         // Resolve every id up front so an unknown scenario fails before
-        // any thread starts, then drain a shared queue exactly like the
-        // pre-extraction Runner did.
-        let resolved: Vec<(Arc<dyn Scenario>, WorkItem)> = items
+        // any item runs.
+        let total = items.len();
+        let resolved: VecDeque<(Arc<dyn Scenario>, WorkItem)> = items
             .into_iter()
             .map(|item| Ok((self.resolve(&item.scenario_id)?.clone(), item)))
             .collect::<Result<_, ExecutorError>>()?;
-        let workers = self.jobs.min(resolved.len());
-        let queue = Mutex::new(VecDeque::from(resolved));
-        let results = Mutex::new(Vec::new());
+        let queue = Mutex::new(resolved);
+        let results = Mutex::new(Vec::with_capacity(total));
+        // A cancel or an injected fault fails the batch, never a single
+        // item silently; the other workers stop before their next item.
         let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if fatal.lock().expect("fatal lock").is_some() {
-                        break;
-                    }
-                    let next = queue.lock().expect("queue lock").pop_front();
-                    let Some((scenario, item)) = next else {
-                        break;
-                    };
-                    if let Err(e) = faults::hit_io(faults::points::LOCAL_ITEM) {
-                        fatal
-                            .lock()
-                            .expect("fatal lock")
-                            .get_or_insert(injected(&item, e));
-                        break;
-                    }
-                    observer.item_started(&item);
-                    let reports = run_work_item(&*scenario, &item);
-                    let result = PartResult::ok(&item, reports);
-                    observer.item_finished(&result);
-                    results.lock().expect("results lock").push(result);
-                });
+        let worker = || loop {
+            if fatal.lock().expect("fatal lock").is_some() {
+                break;
             }
-        });
+            let next = {
+                let mut queue = queue.lock().expect("queue lock");
+                if !queue.is_empty() && observer.cancelled() {
+                    let cancelled = ExecutorError::cancelled(queue.len(), total);
+                    fatal.lock().expect("fatal lock").get_or_insert(cancelled);
+                    break;
+                }
+                queue.pop_front()
+            };
+            let Some((scenario, item)) = next else {
+                break;
+            };
+            if let Err(e) = faults::hit_io(faults::points::LOCAL_ITEM) {
+                let injected = ExecutorError::new(format!(
+                    "local executor failed on {}#{}: {e}",
+                    item.scenario_id, item.part
+                ));
+                fatal.lock().expect("fatal lock").get_or_insert(injected);
+                break;
+            }
+            observer.item_started(&item);
+            let result = PartResult::ok(&item, run_work_item(&*scenario, &item));
+            observer.item_finished(&result);
+            results.lock().expect("results lock").push(result);
+        };
+        let workers = self.jobs.min(total);
+        if workers <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
+            });
+        }
         if let Some(error) = fatal.into_inner().expect("fatal lock") {
             return Err(error);
         }
@@ -468,31 +466,18 @@ pub const DEFAULT_MAX_ITEM_RETRIES: usize = 3;
 pub struct ProcessExecutor {
     command: WorkerCommand,
     jobs: usize,
-    max_item_retries: usize,
 }
 
 impl ProcessExecutor {
     /// Creates a process executor with one worker.
     pub fn new(command: WorkerCommand) -> Self {
-        ProcessExecutor {
-            command,
-            jobs: 1,
-            max_item_retries: DEFAULT_MAX_ITEM_RETRIES,
-        }
+        ProcessExecutor { command, jobs: 1 }
     }
 
     /// Sets the number of worker subprocesses (clamped to at least 1).
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets how many times one item may be re-queued after a worker death
-    /// before the run fails.
-    #[must_use]
-    pub fn max_item_retries(mut self, retries: usize) -> Self {
-        self.max_item_retries = retries;
         self
     }
 }
@@ -548,17 +533,13 @@ impl Transport for ProcessExecutor {
 }
 
 impl Executor for ProcessExecutor {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
         // Child pipes never time out, so no deadline applies.
-        dispatch(self, items, observer, self.max_item_retries, None)
+        dispatch(self, items, observer, None)
     }
 }
 
@@ -820,11 +801,13 @@ mod tests {
             .into_iter()
             .map(|(_, item)| item)
             .collect();
-        let reference = LocalExecutor::new(toys()).execute(items.clone()).unwrap();
+        let reference = LocalExecutor::new(toys())
+            .execute(items.clone(), &())
+            .unwrap();
         for jobs in [2, 8] {
             let mut parallel = LocalExecutor::new(toys())
                 .jobs(jobs)
-                .execute(items.clone())
+                .execute(items.clone(), &())
                 .unwrap();
             parallel.sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
             let mut sorted_reference = reference.clone();
@@ -843,8 +826,70 @@ mod tests {
             keys: None,
         };
         let item = WorkItem::new(&stranger, 0, &params);
-        let error = LocalExecutor::new(toys()).execute(vec![item]).unwrap_err();
+        let error = LocalExecutor::new(toys())
+            .execute(vec![item], &())
+            .unwrap_err();
         assert!(error.to_string().contains("stranger"), "{error}");
+    }
+
+    /// Cancels its run as the first item finishes, recording which parts
+    /// were started.
+    #[derive(Default)]
+    struct CancelAtFirstFinish {
+        started: Mutex<Vec<(String, usize)>>,
+        cancelled: std::sync::atomic::AtomicBool,
+    }
+
+    impl ExecutionObserver for CancelAtFirstFinish {
+        fn item_started(&self, item: &WorkItem) {
+            let part = (item.scenario_id.clone(), item.part);
+            self.started.lock().unwrap().push(part);
+        }
+        fn item_finished(&self, _result: &PartResult) {
+            self.cancelled
+                .store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+        fn cancelled(&self) -> bool {
+            self.cancelled.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn local_executor_starts_no_item_after_a_cancel() {
+        let params = ScenarioParams::with_seed(8);
+        let items: Vec<WorkItem> = plan_work_items(&toys(), &params)
+            .into_iter()
+            .map(|(_, item)| item)
+            .collect();
+        let observer = CancelAtFirstFinish::default();
+        let error = LocalExecutor::new(toys())
+            .execute(items.clone(), &observer)
+            .unwrap_err();
+        assert!(error.is_cancelled(), "{error}");
+        assert_eq!(
+            error.to_string(),
+            "job cancelled with 4 of 5 item(s) still pending"
+        );
+        assert_eq!(
+            *observer.started.lock().unwrap(),
+            vec![("t1".to_string(), 0)]
+        );
+
+        // Four workers: each checks the token after its own item finished,
+        // which set it, so no worker starts a second item and the fifth
+        // item is never started.
+        let observer = CancelAtFirstFinish::default();
+        let error = LocalExecutor::new(toys())
+            .jobs(4)
+            .execute(items, &observer)
+            .unwrap_err();
+        assert!(error.is_cancelled(), "{error}");
+        let mut started = observer.started.into_inner().unwrap();
+        let count = started.len();
+        started.sort();
+        started.dedup();
+        assert_eq!(started.len(), count, "no item started twice");
+        assert!((1..=4).contains(&count), "{count} item(s) started");
     }
 
     /// Runs the stdio worker loop (what `run_experiments worker` runs)
@@ -985,7 +1030,7 @@ mod tests {
         let item = WorkItem::new(&scenario, 0, &params);
         let command = WorkerCommand::new("/nonexistent/onionbots-worker-binary");
         let error = ProcessExecutor::new(command)
-            .execute(vec![item])
+            .execute(vec![item], &())
             .unwrap_err();
         assert!(error.to_string().contains("cannot spawn worker"), "{error}");
     }
@@ -1003,7 +1048,7 @@ mod tests {
             .arg("-c")
             .arg(format!("read hello; echo '{skewed}'; cat >/dev/null"));
         let error = ProcessExecutor::new(command)
-            .execute(vec![item])
+            .execute(vec![item], &())
             .unwrap_err();
         assert!(error.to_string().contains("refused"), "{error}");
     }

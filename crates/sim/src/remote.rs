@@ -29,7 +29,9 @@
 //! A run fails instead of looping when an item keeps killing fresh
 //! channels or when every worker is gone with work still queued, and
 //! results dedup on the item **fingerprint**, so a re-queued item is
-//! never merged twice.
+//! never merged twice. Before a slot takes an item off the queue it asks
+//! the observer whether the run was cancelled; once it was, no further
+//! item is assigned and the run fails with [`ExecutorError::cancelled`].
 //!
 //! Determinism is inherited, not re-argued: workers compute parts with
 //! [`run_work_item`] (per-part seed, `threads` budget scoped around the
@@ -325,12 +327,12 @@ impl Channel {
 /// Runs `items` on the workers `transport` opens: the one dispatch loop
 /// of the process and remote backends (module docs). `deadline_ms`
 /// bounds each reply where the transport's reads time out; pass `None`
-/// for transports whose reads never do.
+/// for transports whose reads never do. One item may kill at most
+/// [`DEFAULT_MAX_ITEM_RETRIES`] fresh channels.
 pub(crate) fn dispatch<T: Transport>(
     transport: &T,
     items: Vec<WorkItem>,
     observer: &dyn ExecutionObserver,
-    max_item_retries: usize,
     deadline_ms: Option<u64>,
 ) -> Result<Vec<PartResult>, ExecutorError> {
     if items.is_empty() {
@@ -386,6 +388,13 @@ pub(crate) fn dispatch<T: Transport>(
                     let next = {
                         let mut state = queue.lock().expect("queue lock");
                         loop {
+                            if !state.pending.is_empty() && observer.cancelled() {
+                                let cancelled =
+                                    ExecutorError::cancelled(state.pending.len(), total);
+                                fatal.lock().expect("fatal lock").get_or_insert(cancelled);
+                                wake.notify_all();
+                                break None;
+                            }
                             if let Some(entry) = state.pending.pop_front() {
                                 state.in_flight += 1;
                                 break Some(entry);
@@ -501,7 +510,7 @@ pub(crate) fn dispatch<T: Transport>(
                             let fresh_death = active.completed == 0;
                             drop(active);
                             let retries = retries + usize::from(fresh_death);
-                            if retries > max_item_retries {
+                            if retries > DEFAULT_MAX_ITEM_RETRIES {
                                 fail(format!(
                                     "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
                                     item.scenario_id, item.part
@@ -510,7 +519,7 @@ pub(crate) fn dispatch<T: Transport>(
                             }
                             let pause = retry_backoff_millis(&item.fingerprint, retries);
                             eprintln!(
-                                "warning: {peer} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{max_item_retries} charged retries)",
+                                "warning: {peer} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{DEFAULT_MAX_ITEM_RETRIES} charged retries)",
                                 item.scenario_id, item.part
                             );
                             // detlint: allow(D002) reason="bounded retry backoff; the pause is deterministic (fingerprint-derived) and its duration never feeds back into any output"
@@ -542,7 +551,6 @@ pub(crate) fn dispatch<T: Transport>(
 /// handshake (version skew), fails the run immediately.
 pub struct RemoteExecutor {
     workers: Vec<String>,
-    max_item_retries: usize,
     deadline_ms: u64,
 }
 
@@ -553,17 +561,8 @@ impl RemoteExecutor {
     pub fn new(workers: Vec<String>) -> Self {
         RemoteExecutor {
             workers,
-            max_item_retries: DEFAULT_MAX_ITEM_RETRIES,
             deadline_ms: DEFAULT_REMOTE_DEADLINE_MS,
         }
-    }
-
-    /// Sets how many fresh-connection deaths one item may cause before
-    /// the run fails.
-    #[must_use]
-    pub fn max_item_retries(mut self, retries: usize) -> Self {
-        self.max_item_retries = retries;
-        self
     }
 
     /// Sets the per-reply deadline in milliseconds (clamped to at least
@@ -618,11 +617,7 @@ impl Transport for RemoteExecutor {
 }
 
 impl Executor for RemoteExecutor {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
         observer: &dyn ExecutionObserver,
@@ -632,13 +627,7 @@ impl Executor for RemoteExecutor {
                 "remote backend has no worker hosts configured (add --worker ADDR)",
             ));
         }
-        dispatch(
-            self,
-            items,
-            observer,
-            self.max_item_retries,
-            Some(self.deadline_ms),
-        )
+        dispatch(self, items, observer, Some(self.deadline_ms))
     }
 }
 
@@ -793,7 +782,7 @@ where
 mod tests {
     use super::*;
     use crate::scenario_api::ScenarioParams;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// How one scripted in-memory worker channel behaves.
     #[derive(Clone, Copy)]
@@ -817,6 +806,8 @@ mod tests {
     struct Peer {
         script: Script,
         answered: usize,
+        /// Assignments received, shared by every channel of the transport.
+        assigned: Arc<AtomicUsize>,
         inbox: Vec<u8>,
         outbox: VecDeque<u8>,
         dead: bool,
@@ -839,6 +830,7 @@ mod tests {
                 }
                 (DispatchFrame::Assign(item), _) => item,
             };
+            self.assigned.fetch_add(1, Ordering::SeqCst);
             let mut result = PartResult::ok(&item, Vec::new());
             let copies = match self.script {
                 Script::Idle => 0,
@@ -908,6 +900,7 @@ mod tests {
     struct Fake {
         script: fn(usize, usize) -> Option<Script>,
         opens: Mutex<Vec<usize>>,
+        assigned: Arc<AtomicUsize>,
     }
 
     impl Transport for Fake {
@@ -931,6 +924,7 @@ mod tests {
             let peer = Arc::new(Mutex::new(Peer {
                 script,
                 answered: 0,
+                assigned: self.assigned.clone(),
                 inbox: Vec::new(),
                 outbox: VecDeque::new(),
                 dead: false,
@@ -949,9 +943,21 @@ mod tests {
         n: usize,
         script: fn(usize, usize) -> Option<Script>,
     ) -> (Result<Vec<PartResult>, ExecutorError>, Vec<usize>) {
+        let (outcome, fake) = run_observed(slots, n, script, &());
+        (outcome, fake.opens.into_inner().unwrap())
+    }
+
+    /// [`run`] with `observer` attached; returns the spent transport.
+    fn run_observed(
+        slots: usize,
+        n: usize,
+        script: fn(usize, usize) -> Option<Script>,
+        observer: &dyn ExecutionObserver,
+    ) -> (Result<Vec<PartResult>, ExecutorError>, Fake) {
         let fake = Fake {
             script,
             opens: Mutex::new(vec![0; slots]),
+            assigned: Arc::new(AtomicUsize::new(0)),
         };
         let items = (0..n)
             .map(|part| WorkItem {
@@ -964,8 +970,8 @@ mod tests {
             })
             .collect();
         let deadline = Some(3 * REMOTE_READ_POLL_MS);
-        let outcome = dispatch(&fake, items, &(), DEFAULT_MAX_ITEM_RETRIES, deadline);
-        (outcome, fake.opens.into_inner().unwrap())
+        let outcome = dispatch(&fake, items, observer, deadline);
+        (outcome, fake)
     }
 
     fn error_of(outcome: Result<Vec<PartResult>, ExecutorError>) -> String {
@@ -1032,6 +1038,49 @@ mod tests {
         let message = error_of(outcome);
         assert!(message.contains("are gone"), "{message}");
         assert_eq!(opens, vec![1, 2]);
+    }
+
+    /// Cancels its run as the first item finishes, recording which parts
+    /// were started.
+    #[derive(Default)]
+    struct CancelAtFirstFinish {
+        started: Mutex<Vec<usize>>,
+        cancelled: AtomicBool,
+    }
+
+    impl ExecutionObserver for CancelAtFirstFinish {
+        fn item_started(&self, item: &WorkItem) {
+            self.started.lock().unwrap().push(item.part);
+        }
+        fn item_finished(&self, _result: &PartResult) {
+            self.cancelled.store(true, Ordering::SeqCst);
+        }
+        fn cancelled(&self) -> bool {
+            self.cancelled.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn a_cancel_stops_further_assignments() {
+        let observer = CancelAtFirstFinish::default();
+        let (outcome, fake) = run_observed(1, 4, |_, _| Some(Script::Echo), &observer);
+        let error = outcome.unwrap_err();
+        assert!(error.is_cancelled(), "{error}");
+        assert_eq!(
+            error.to_string(),
+            "job cancelled with 3 of 4 item(s) still pending"
+        );
+        assert_eq!(fake.assigned.load(Ordering::SeqCst), 1);
+        assert_eq!(*observer.started.lock().unwrap(), vec![0]);
+
+        // Three slots: each slot checks after its own item finished, which
+        // set the token, so no slot is assigned a second item.
+        let observer = CancelAtFirstFinish::default();
+        let (outcome, fake) = run_observed(3, 8, |_, _| Some(Script::Echo), &observer);
+        assert!(outcome.unwrap_err().is_cancelled());
+        let assigned = fake.assigned.load(Ordering::SeqCst);
+        assert!((1..=3).contains(&assigned), "{assigned} assignment(s)");
+        assert_eq!(observer.started.lock().unwrap().len(), assigned);
     }
 
     /// Counts the bytes a reader hands out.

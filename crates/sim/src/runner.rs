@@ -19,6 +19,12 @@
 //! subprocesses ([`Backend::Process`]) or any custom [`Executor`]
 //! ([`Backend::Custom`]). Workers report per-item status; the parent
 //! aggregates the [`CacheStats`] and prints the single stderr summary.
+//!
+//! Every run, one-shot or daemon job, follows one dispatch schedule: all
+//! pending items go to a single [`Executor::execute`] call. A
+//! [`Runner::cancel_token`] reaches the backend through the observer the
+//! Runner passes it, and the backend's item queue checks it before
+//! starting each item.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -149,9 +155,11 @@ impl RunObserver for () {
 }
 
 /// Adapts a [`RunObserver`] to the executor-level observer so backends
-/// can stream `Started`/`Finished`/`Error` transitions live.
+/// can stream `Started`/`Finished`/`Error` transitions live, and answers
+/// their cancellation checks from the run's token.
 struct ForwardToRun<'a> {
     observer: &'a dyn RunObserver,
+    cancel: Option<&'a AtomicBool>,
 }
 
 impl ExecutionObserver for ForwardToRun<'_> {
@@ -162,6 +170,11 @@ impl ExecutionObserver for ForwardToRun<'_> {
 
     fn item_finished(&self, result: &PartResult) {
         self.observer.part_event(PartEvent::for_result(result));
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .is_some_and(|token| token.load(Ordering::SeqCst))
     }
 }
 
@@ -306,14 +319,17 @@ impl Runner {
         self
     }
 
-    /// Attaches a cooperative cancellation token. When set, pending items
-    /// are dispatched in bounded batches and the token is checked between
-    /// them: once it reads `true`, the remaining items are drained and the
-    /// run fails with a "job cancelled" [`ExecutorError`]. Because fresh
-    /// results are only written back after the *whole* dispatch succeeds,
-    /// a cancelled run never leaves partial state in the cache — the next
-    /// run simply recomputes. A cancel raised while the final batch is in
-    /// flight loses the race and the run completes normally.
+    /// Attaches a cooperative cancellation token. It is checked once
+    /// before dispatch and then by the backend before it starts each
+    /// item: once it reads `true`, no further item starts, the items in
+    /// flight finish and the run fails with a cancelled [`ExecutorError`]
+    /// ([`ExecutorError::is_cancelled`]). Because fresh results are only
+    /// written back after the *whole* dispatch succeeds, a cancelled run
+    /// never leaves partial state in the cache — the next run simply
+    /// recomputes. A cancel raised after the last item started loses the
+    /// race and the run completes normally. A [`Backend::Custom`]
+    /// executor that never asks [`ExecutionObserver::cancelled`] only
+    /// sees the check before dispatch.
     pub fn cancel_token(mut self, token: Arc<AtomicBool>) -> Self {
         self.cancel = Some(token);
         self
@@ -548,11 +564,10 @@ impl Runner {
         ))
     }
 
-    /// Hands the pending items to the configured backend, stamping the
-    /// resolved per-item thread budget onto every item first (and, for
-    /// worker subprocesses, into their environment). With a
-    /// [`cancel_token`](Self::cancel_token) attached the batch is split
-    /// into `jobs`-sized slices so the token gets checked between them.
+    /// Hands the pending items to the configured backend in one
+    /// `execute` call, stamping the resolved per-item thread budget onto
+    /// every item first (and, for worker subprocesses, into their
+    /// environment).
     fn dispatch(
         &self,
         scenarios: &[Arc<dyn Scenario>],
@@ -562,60 +577,42 @@ impl Runner {
         if pending.is_empty() {
             return Ok(Vec::new());
         }
+        let forward = ForwardToRun {
+            observer,
+            cancel: self.cancel.as_deref(),
+        };
+        if forward.cancelled() {
+            return Err(ExecutorError::cancelled(pending.len(), pending.len()));
+        }
         let threads = self.threads_per_item.resolve(self.jobs, pending.len());
         for item in &mut pending {
             item.threads = threads;
         }
-        let forward = ForwardToRun { observer };
-        let run_batch = |batch: Vec<WorkItem>| -> Result<Vec<PartResult>, ExecutorError> {
-            match &self.backend {
-                Backend::Local => LocalExecutor::new(scenarios.to_vec())
+        match &self.backend {
+            Backend::Local => LocalExecutor::new(scenarios.to_vec())
+                .jobs(self.jobs)
+                .execute(pending, &forward),
+            Backend::Process(command) => {
+                // Belt and braces: the hint travels inside each work item
+                // (run_work_item scopes it), and the environment carries
+                // the same split as the worker-process default for any
+                // graph work outside an item's scope.
+                let command = command
+                    .clone()
+                    .env(onion_graph::budget::THREADS_ENV, threads.to_string());
+                ProcessExecutor::new(command)
                     .jobs(self.jobs)
-                    .execute_observed(batch, &forward),
-                Backend::Process(command) => {
-                    // Belt and braces: the hint travels inside each work item
-                    // (run_work_item scopes it), and the environment carries
-                    // the same split as the worker-process default for any
-                    // graph work outside an item's scope.
-                    let command = command
-                        .clone()
-                        .env(onion_graph::budget::THREADS_ENV, threads.to_string());
-                    ProcessExecutor::new(command)
-                        .jobs(self.jobs)
-                        .execute_observed(batch, &forward)
-                }
-                Backend::Remote(workers) => {
-                    let mut executor = crate::remote::RemoteExecutor::new(workers.clone());
-                    if let Some(millis) = self.remote_deadline_ms {
-                        executor = executor.deadline_millis(millis);
-                    }
-                    executor.execute_observed(batch, &forward)
-                }
-                Backend::Custom(executor) => executor.execute_observed(batch, &forward),
+                    .execute(pending, &forward)
             }
-        };
-        let Some(token) = &self.cancel else {
-            return run_batch(pending);
-        };
-        // Cancellable path: dispatch one `jobs`-sized slice at a time.
-        // The slices only change scheduling granularity — results are
-        // reassembled in (scenario, part) order upstream, so the summary
-        // bytes are identical to the single-batch path.
-        let total = pending.len();
-        let mut queue: std::collections::VecDeque<WorkItem> = pending.into();
-        let mut results = Vec::with_capacity(total);
-        while !queue.is_empty() {
-            if token.load(Ordering::SeqCst) {
-                return Err(ExecutorError::new(format!(
-                    "job cancelled with {} of {total} item(s) still pending",
-                    queue.len()
-                )));
+            Backend::Remote(workers) => {
+                let mut executor = crate::remote::RemoteExecutor::new(workers.clone());
+                if let Some(millis) = self.remote_deadline_ms {
+                    executor = executor.deadline_millis(millis);
+                }
+                executor.execute(pending, &forward)
             }
-            let take = self.jobs.max(1).min(queue.len());
-            let batch: Vec<WorkItem> = queue.drain(..take).collect();
-            results.extend(run_batch(batch)?);
+            Backend::Custom(executor) => executor.execute(pending, &forward),
         }
-        Ok(results)
     }
 }
 
@@ -721,7 +718,11 @@ mod tests {
         }
 
         impl Executor for Recording {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                _observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 *self.seen.lock().unwrap() += items.len();
                 Ok(items
                     .into_iter()
@@ -762,7 +763,11 @@ mod tests {
         }
 
         impl Executor for RecordingThreads {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                _observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 let mut hints = self.hints.lock().unwrap();
                 Ok(items
                     .into_iter()
@@ -853,7 +858,11 @@ mod tests {
         }
 
         impl Executor for Lossy {
-            fn execute(&self, mut items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                mut items: Vec<WorkItem>,
+                _observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 match self.mode {
                     Misbehavior::FailFirst => {
                         let first = items.remove(0);
@@ -923,7 +932,11 @@ mod tests {
     fn failing_backend_surfaces_as_an_error_not_a_hang() {
         struct Broken;
         impl Executor for Broken {
-            fn execute(&self, _items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                _items: Vec<WorkItem>,
+                _observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 Err(ExecutorError::new("backend exploded"))
             }
         }
@@ -1056,20 +1069,30 @@ mod tests {
 
     #[test]
     fn mid_run_cancel_drains_pending_items_and_poisons_nothing() {
-        /// Trips the shared token as soon as the first batch completes,
-        /// so the between-batch check cancels the rest of the run.
+        /// Runs items one at a time, honouring the observer's cancel
+        /// check before each, and trips the shared token as soon as the
+        /// first item completes.
         struct CancelAfterFirst {
             token: Arc<AtomicBool>,
             executed: std::sync::Mutex<usize>,
         }
         impl Executor for CancelAfterFirst {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-                *self.executed.lock().unwrap() += items.len();
-                self.token.store(true, Ordering::SeqCst);
-                Ok(items
-                    .iter()
-                    .map(|item| PartResult::ok(item, vec![]))
-                    .collect())
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
+                let total = items.len();
+                let mut results = Vec::new();
+                for (done, item) in items.iter().enumerate() {
+                    if observer.cancelled() {
+                        return Err(ExecutorError::cancelled(total - done, total));
+                    }
+                    *self.executed.lock().unwrap() += 1;
+                    results.push(PartResult::ok(item, vec![]));
+                    self.token.store(true, Ordering::SeqCst);
+                }
+                Ok(results)
             }
         }
 
@@ -1086,16 +1109,17 @@ mod tests {
             .cancel_token(token)
             .try_run_with_stats(&scenarios())
             .unwrap_err();
+        assert!(error.is_cancelled());
         assert_eq!(
             error.to_string(),
-            "job cancelled with 5 of 7 item(s) still pending"
+            "job cancelled with 6 of 7 item(s) still pending"
         );
         assert_eq!(
             *backend.executed.lock().unwrap(),
-            2,
-            "only the first jobs-sized batch ran"
+            1,
+            "the token reached the executor before its second item"
         );
-        // Even the *completed* batch is discarded: results are stored
+        // Even the *completed* item is discarded: results are stored
         // only after the whole dispatch succeeds, so the cache holds no
         // partial (and here: empty-report) state from the cancelled run.
         let (_, stats) = Runner::new(ScenarioParams::with_seed(6))
@@ -1109,17 +1133,59 @@ mod tests {
 
     #[test]
     fn unset_cancel_token_changes_nothing_about_the_run() {
+        use crate::executor::run_work_item;
+
+        /// Runs items in-process, recording the size of every batch.
+        struct Batches {
+            scenarios: Vec<Arc<dyn Scenario>>,
+            sizes: std::sync::Mutex<Vec<usize>>,
+        }
+
+        impl Executor for Batches {
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                _observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
+                self.sizes.lock().unwrap().push(items.len());
+                Ok(items
+                    .iter()
+                    .map(|item| {
+                        let scenario = self
+                            .scenarios
+                            .iter()
+                            .find(|s| s.id() == item.scenario_id)
+                            .expect("known scenario");
+                        PartResult::ok(item, run_work_item(&**scenario, item))
+                    })
+                    .collect())
+            }
+        }
+
         let params = ScenarioParams::with_seed(42);
         let reference = Runner::new(params.clone()).run(&scenarios());
-        let cancellable = Runner::new(params)
+        let cancellable = Runner::new(params.clone())
             .jobs(2)
             .cancel_token(Arc::new(AtomicBool::new(false)))
             .run(&scenarios());
         assert_eq!(
             cancellable.to_json(),
             reference.to_json(),
-            "batched dispatch must be byte-identical to the single batch"
+            "a cancellable run must be byte-identical to a plain one"
         );
+        // The token does not change the dispatch schedule: one execute
+        // call holding every pending item.
+        let batches = Arc::new(Batches {
+            scenarios: scenarios(),
+            sizes: std::sync::Mutex::new(Vec::new()),
+        });
+        let custom = Runner::new(params)
+            .jobs(2)
+            .backend(Backend::Custom(batches.clone()))
+            .cancel_token(Arc::new(AtomicBool::new(false)))
+            .run(&scenarios());
+        assert_eq!(custom.to_json(), reference.to_json());
+        assert_eq!(*batches.sizes.lock().unwrap(), vec![7], "4 + 2 + 1 parts");
     }
 
     #[test]

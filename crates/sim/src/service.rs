@@ -40,8 +40,8 @@
 //! Resource use is bounded and jobs are revocable: admission control
 //! refuses submissions beyond [`ServiceConfig::max_active_jobs`]
 //! concurrently running jobs with an [`Event::Rejected`] frame (nothing
-//! queues — the client retries), and [`Request::Cancel`] drains a
-//! running job's remaining work items at the next batch boundary.
+//! queues — the client retries), and [`Request::Cancel`] stops a
+//! running job before its next work item starts.
 //! Because the runner stores results only after a dispatch fully
 //! succeeds, a cancelled job writes *nothing* to the shared cache — no
 //! partial state can ever be replayed. The `service.job` and
@@ -70,17 +70,11 @@ use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
 use crate::executor::WorkerCommand;
 use crate::faults;
 use crate::runner::{
-    Backend, PartEvent, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
+    Backend, PartEvent, PartState, RunObserver, RunSummary, Runner, ThreadsPerItem,
 };
 use crate::scenario_api::{ScenarioParams, ScenarioRegistry};
 use crate::wire;
 pub use crate::wire::{Frame, FrameReader};
-
-// The unused-import lint would otherwise flag these doc-link-only names.
-#[allow(unused_imports)]
-use crate::runner::PartState;
-#[allow(unused_imports)]
-use crate::scenario_api::Scenario;
 
 /// One machine-readable registry entry, as listed by [`Request::List`]
 /// (and by `run_experiments --list --json`).
@@ -92,7 +86,8 @@ pub struct ScenarioInfo {
     pub title: String,
     /// Part count under the parameters the listing was taken with.
     pub parts: usize,
-    /// The override keys the scenario declares ([`Scenario::override_keys`]);
+    /// The override keys the scenario declares
+    /// ([`Scenario::override_keys`](crate::scenario_api::Scenario::override_keys));
     /// `None` means undeclared — every `--set` key is fingerprinted.
     pub override_keys: Option<Vec<String>>,
 }
@@ -530,30 +525,30 @@ impl Service {
             }
         };
         let params = spec.params();
-        // Summary memoization: when every planned part is already a
-        // *validated* cache hit (and the job is not a refresh), the run
-        // replays entirely from the cache, so no backend dispatch is
-        // planned at all — a fully-cached submission returns `Done` even
-        // when its requested backend is currently unavailable (a remote
-        // fleet that went home, a missing worker command).
-        let fully_cached = !spec.refresh.unwrap_or(false)
-            && self.config.cache.as_ref().is_some_and(|cache| {
-                selected.iter().all(|scenario| {
-                    (0..scenario.parts(&params).max(1)).all(|part| {
-                        let fingerprint = PartFingerprint::compute(&**scenario, part, &params);
-                        matches!(cache.lookup(&fingerprint), CacheLookup::Hit(_))
+        // Summary memoization: when the requested backend is unavailable
+        // (a remote fleet that went home, a missing worker command) but
+        // every planned part is already a *validated* cache hit (and the
+        // job is not a refresh), the run replays entirely from the cache,
+        // so it runs on the local backend and plans no dispatch at all.
+        let runner = self.config.runner(spec).or_else(|unavailable| {
+            let fully_cached = !spec.refresh.unwrap_or(false)
+                && self.config.cache.as_ref().is_some_and(|cache| {
+                    selected.iter().all(|scenario| {
+                        (0..scenario.parts(&params).max(1)).all(|part| {
+                            let fingerprint = PartFingerprint::compute(&**scenario, part, &params);
+                            matches!(cache.lookup(&fingerprint), CacheLookup::Hit(_))
+                        })
                     })
-                })
-            });
-        let backend = if fully_cached {
-            Some(BackendSpec::Local)
-        } else {
-            spec.backend
-        };
-        let runner = match self.config.runner(&JobSpec {
-            backend,
-            ..spec.clone()
-        }) {
+                });
+            if !fully_cached {
+                return Err(unavailable);
+            }
+            self.config.runner(&JobSpec {
+                backend: Some(BackendSpec::Local),
+                ..spec.clone()
+            })
+        });
+        let runner = match runner {
             Ok(runner) => runner,
             Err(message) => {
                 sink.send(&Event::Error { job: None, message });
@@ -612,7 +607,7 @@ impl Service {
             return;
         }
 
-        let runner = runner.cancel_token(cancel.clone());
+        let runner = runner.cancel_token(cancel);
         let observer = JobObserver {
             service: self,
             job,
@@ -629,30 +624,27 @@ impl Service {
                     cache,
                 });
             }
+            // A cancel that actually stopped the run closes the job as
+            // Cancelled; any other failure — including one that raced a
+            // late cancel — stays a Failed job with its real error message.
+            Err(error) if error.is_cancelled() => {
+                self.finish_job(job, JobState::Cancelled, None);
+                sink.send(&Event::Cancelled { job });
+            }
             Err(error) => {
                 let message = error.to_string();
-                // A cancel that actually drained the run (the token was
-                // tripped *and* the runner aborted on it) closes the job
-                // as Cancelled; any other failure — including one that
-                // raced a late cancel — stays a Failed job with its real
-                // error message.
-                if cancel.load(Ordering::SeqCst) && message.starts_with("job cancelled") {
-                    self.finish_job(job, JobState::Cancelled, None);
-                    sink.send(&Event::Cancelled { job });
-                } else {
-                    self.finish_job(job, JobState::Failed(message.clone()), None);
-                    sink.send(&Event::Error {
-                        job: Some(job),
-                        message,
-                    });
-                }
+                self.finish_job(job, JobState::Failed(message.clone()), None);
+                sink.send(&Event::Error {
+                    job: Some(job),
+                    message,
+                });
             }
         }
     }
 
-    /// Requests cancellation of a running job. The job's remaining items
-    /// are drained at the next batch boundary; its submitter receives
-    /// [`Event::Cancelled`] as the final frame.
+    /// Requests cancellation of a running job. None of the job's pending
+    /// items starts after this (the items in flight finish); its
+    /// submitter receives [`Event::Cancelled`] as the final frame.
     ///
     /// # Errors
     /// Returns a human-readable reason when `job` is unknown or no longer
@@ -941,12 +933,6 @@ impl ServeStream for std::net::TcpStream {
     fn set_read_interval(&self, timeout: Duration) -> io::Result<()> {
         self.set_read_timeout(Some(timeout))
     }
-}
-
-/// Sums per-outcome report counts — a helper for clients rendering
-/// progress from a final summary.
-pub fn summary_parts(outcomes: &[ScenarioOutcome]) -> usize {
-    outcomes.iter().map(|o| o.parts).sum()
 }
 
 #[cfg(all(test, unix))]
@@ -1349,7 +1335,7 @@ mod tests {
         /// A scenario whose first part cancels its own job — a
         /// deterministic stand-in for a second client connection sending
         /// `Cancel` while the job is mid-run (no timing race: the token
-        /// is guaranteed set before the second single-item batch).
+        /// is guaranteed set before the second item starts).
         struct CancelSelf {
             service: std::sync::Weak<Service>,
         }
@@ -1401,8 +1387,8 @@ mod tests {
                 },
             )
         });
-        // jobs=1 → 5 single-item batches with a token check between each:
-        // part 0 trips the token, the check before batch 2 drains.
+        // jobs=1 → one worker checks the token before each item: part 0
+        // trips it, the check before part 1 stops the job.
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(13))]);
         assert_eq!(
             events.last(),
@@ -1476,7 +1462,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(summary_parts(&[]), 0);
     }
 
     #[test]
