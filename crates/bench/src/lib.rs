@@ -25,8 +25,10 @@
 //! the one-shot run and the daemon turn a spec into a runner through one
 //! function ([`sim::ServiceConfig::runner`]). The [`output`] module
 //! renders a `RunSummary` identically for the one-shot and daemon paths.
-//! The Criterion benchmarks in `benches/` cover the micro-level costs
-//! (repair, routing, metrics, descriptors, crypto, SOAP iterations).
+//! The Criterion benchmarks in `benches/` time the layers the repository
+//! benchmark (`perfbench/`) does not: crypto primitives, Tor descriptor
+//! operations and overlay routing. perfbench times repair, sharding,
+//! metrics and SOAP.
 //!
 //! Scenarios default to a scaled-down population so that a full
 //! regeneration run finishes in minutes on a laptop; pass `--scale full`

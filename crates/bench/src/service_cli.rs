@@ -26,6 +26,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
 use sim::service::{Event, Frame, FrameReader, Request, DEFAULT_MAX_ACTIVE_JOBS};
+use sim::wire::write_frame;
 use sim::{
     BackendSpec, JobSpec, ResultCache, RunSummary, Service, ServiceConfig, ThreadsPerItem,
     WorkerCommand,
@@ -353,37 +354,46 @@ fn connect(transport: &Transport) -> Result<Connection, String> {
     }
 }
 
+/// The event frames of one client connection.
+type Events = FrameReader<Box<dyn Read>>;
+
+/// Sends `request` over a fresh connection and returns the reader its
+/// answering events arrive on; `what` names the request in the send
+/// error.
+fn send(transport: &Transport, request: &Request, what: &str) -> Result<Events, String> {
+    let (reader, mut writer) = connect(transport)?;
+    write_frame(&mut writer, request).map_err(|e| format!("cannot send {what}: {e}"))?;
+    Ok(FrameReader::new(reader))
+}
+
+/// Reads the next event frame, skipping read timeouts and blank lines.
+/// `failed` prefixes a transport error; `closed` is the error when the
+/// service closes the connection first.
+fn next_event(events: &mut Events, failed: &str, closed: &str) -> Result<Event, String> {
+    loop {
+        match events.read_frame().map_err(|e| format!("{failed}: {e}"))? {
+            Frame::Eof => return Err(closed.to_string()),
+            Frame::Idle => {}
+            Frame::Line(line) if line.trim().is_empty() => {}
+            Frame::Line(line) => {
+                return serde_json::from_str::<Event>(&line)
+                    .map_err(|e| format!("unparseable event frame: {e}"))
+            }
+        }
+    }
+}
+
 /// Sends one request frame and returns the daemon's single response
 /// frame. Every non-submission request is answered with exactly one
 /// event, so the client never has to wait for the connection to close
 /// (dropping a cloned read/write half does not shut the socket down).
 fn request_one(transport: &Transport, request: &Request) -> Result<Event, String> {
-    let (reader, mut writer) = connect(transport)?;
-    let frame = serde_json::to_string(request).expect("requests serialize");
-    writer
-        .write_all(frame.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut frames = FrameReader::new(reader);
-    loop {
-        match frames
-            .read_frame()
-            .map_err(|e| format!("connection failed: {e}"))?
-        {
-            Frame::Eof => {
-                return Err("the service closed the connection without answering".to_string())
-            }
-            Frame::Idle => {}
-            Frame::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                return serde_json::from_str::<Event>(&line)
-                    .map_err(|e| format!("unparseable event frame: {e}"));
-            }
-        }
-    }
+    let mut events = send(transport, request, "request")?;
+    next_event(
+        &mut events,
+        "connection failed",
+        "the service closed the connection without answering",
+    )
 }
 
 // ------------------------------------------------------------------ serve
@@ -622,31 +632,14 @@ fn parse_submit_options(args: &[String]) -> Result<Parsed<SubmitOptions>, String
 }
 
 fn run_submit(options: &SubmitOptions) -> Result<(), String> {
-    let (reader, mut writer) = connect(&options.transport)?;
-    let frame =
-        serde_json::to_string(&Request::Submit(options.spec.clone())).expect("requests serialize");
-    writer
-        .write_all(frame.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot send job: {e}"))?;
-    let mut frames = FrameReader::new(reader);
+    let request = Request::Submit(options.spec.clone());
+    let mut events = send(&options.transport, &request, "job")?;
     loop {
-        let line = match frames
-            .read_frame()
-            .map_err(|e| format!("connection to the service failed: {e}"))?
-        {
-            Frame::Eof => {
-                return Err("the service closed the connection before the job finished".to_string())
-            }
-            Frame::Idle => continue,
-            Frame::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = serde_json::from_str::<Event>(&line)
-            .map_err(|e| format!("unparseable event frame: {e}"))?;
+        let event = next_event(
+            &mut events,
+            "connection to the service failed",
+            "the service closed the connection before the job finished",
+        )?;
         match event {
             Event::Accepted { job } => eprintln!("submitted as job {job}"),
             Event::Part { job, event } => {

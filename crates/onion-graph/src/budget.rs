@@ -1,4 +1,5 @@
-//! Thread budgeting for intra-graph parallelism.
+//! Thread budgeting for intra-graph parallelism, and the one fan-out
+//! helper ([`fan_out`]) that spends it.
 //!
 //! The parallel BFS kernel ([`crate::metrics::parallel_bfs_from_sources`])
 //! can fan sources across threads, but the metrics entry points
@@ -21,6 +22,7 @@
 //! so any budget produces byte-identical output.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Environment variable holding the process-wide default thread budget
@@ -72,6 +74,69 @@ pub fn with_thread_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     }
     let _restore = Restore(BUDGET.with(|b| b.replace(Some(threads.max(1)))));
     f()
+}
+
+/// Hard ceiling on fan-out workers: budgets are caller-supplied (CLI
+/// flag, environment variable), and an absurd value must degrade to
+/// "merely pointless", not to a failed `std::thread` spawn aborting the
+/// scope. 64 is far above any useful fan-out while keeping
+/// over-provisioned determinism tests (threads > cores) meaningful.
+pub const MAX_THREADS: usize = 64;
+
+/// Runs `task(&mut state, i)` for every index in `0..items` and returns
+/// the results in index order.
+///
+/// Up to `threads` scoped workers (clamped to `1..=`[`MAX_THREADS`] and
+/// to `items`; one worker runs inline with no thread machinery) claim
+/// indices from a shared atomic cursor. Each worker builds its own
+/// `state` once with `init` — reusable scratch such as a
+/// [`BfsScratch`](crate::metrics::BfsScratch); pass `|| ()` for none.
+/// Every result lands in the slot of its index, so the output never
+/// depends on the worker count or on scheduling, provided `task`'s
+/// result does not depend on what `state` held before.
+pub fn fan_out<S, T: Send>(
+    items: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    task: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let threads = threads.clamp(1, MAX_THREADS).min(items);
+    if threads <= 1 {
+        let mut state = init();
+        return (0..items).map(|i| task(&mut state, i)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= items {
+                            break;
+                        }
+                        local.push((i, task(&mut state, i)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out worker panicked"))
+            .collect()
+    });
+    // Scatter by index: the cursor hands each index to exactly one
+    // worker, so every slot is written exactly once.
+    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(items).collect();
+    for (i, value) in per_worker.into_iter().flatten() {
+        out[i] = Some(value);
+    }
+    out.into_iter()
+        .map(|value| value.expect("every index is claimed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -130,6 +195,30 @@ mod tests {
             assert_eq!(other, ambient(), "a fresh thread sees the process default");
             assert_eq!(thread_budget(), 6);
         });
+    }
+
+    #[test]
+    fn fan_out_keeps_index_order_and_one_state_per_worker() {
+        // Each worker's state counts the items it ran: the results keep
+        // index order, and no more states start counting than workers.
+        let items = 100usize;
+        for threads in [0usize, 1, 3, usize::MAX] {
+            let out = fan_out(
+                items,
+                threads,
+                || 0usize,
+                |ran, i| {
+                    *ran += 1;
+                    (i * i, *ran)
+                },
+            );
+            let squares: Vec<usize> = out.iter().map(|&(sq, _)| sq).collect();
+            assert_eq!(squares, (0..items).map(|i| i * i).collect::<Vec<_>>());
+            let firsts = out.iter().filter(|&&(_, ran)| ran == 1).count();
+            let workers = threads.clamp(1, MAX_THREADS).min(items);
+            assert!(firsts >= 1 && firsts <= workers, "threads={threads}");
+        }
+        assert!(fan_out(0, 8, || (), |_, i| i).is_empty());
     }
 
     #[test]

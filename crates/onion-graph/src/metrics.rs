@@ -21,8 +21,8 @@
 //! traversal order is deterministic by construction.
 //!
 //! The BFS-sweep metrics ([`sampled_diameter`], [`diameter`],
-//! [`average_path_length`], [`path_metrics`]) additionally freeze the slab
-//! into a [`CsrSnapshot`] and fan their sources across the
+//! [`average_path_length`]) additionally freeze the slab into a
+//! [`CsrSnapshot`] and fan their sources across the
 //! [`parallel_bfs_from_sources`] kernel. Source selection stays sequential
 //! and up front (the RNG stream is untouched by the rewrite) and every
 //! source's result lands in its slot by source index, so the output is
@@ -32,7 +32,7 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::budget::thread_budget;
+use crate::budget::{fan_out, thread_budget};
 use crate::csr::CsrSnapshot;
 use crate::graph::{Graph, NodeId};
 
@@ -272,62 +272,23 @@ impl BfsScratch {
 
 /// Deterministic multi-source BFS kernel: runs one BFS per source over a
 /// shared read-only adjacency, fanning sources across at most `threads`
-/// scoped worker threads (clamped to the source count; `<= 1` runs inline
-/// with no thread machinery).
+/// workers with [`fan_out`] (`<= 1` runs inline with no thread
+/// machinery).
 ///
-/// Each worker owns one reusable [`BfsScratch`] and claims sources from a
-/// shared atomic cursor; every result is written into the output slot of
-/// its *source index*, so the returned vector is **byte-identical to the
-/// sequential path regardless of thread count or scheduling**. Callers
-/// that sample sources with an RNG must draw them before calling (as
-/// [`sampled_diameter`] does), keeping RNG streams independent of the
-/// thread budget.
+/// Each worker owns one reusable [`BfsScratch`]; every result is written
+/// into the output slot of its *source index*, so the returned vector is
+/// **byte-identical to the sequential path regardless of thread count or
+/// scheduling**. Callers that sample sources with an RNG must draw them
+/// before calling (as [`sampled_diameter`] does), keeping RNG streams
+/// independent of the thread budget.
 pub fn parallel_bfs_from_sources<A: Adjacency + Sync + ?Sized>(
     adj: &A,
     sources: &[NodeId],
     threads: usize,
 ) -> Vec<BfsStats> {
-    /// Hard ceiling on kernel workers: budgets are caller-supplied (CLI
-    /// flag, environment variable), and an absurd value must degrade to
-    /// "merely pointless", not to a failed `std::thread` spawn aborting
-    /// the scope. 64 is far above any useful BFS fan-out while keeping
-    /// over-provisioned determinism tests (threads > cores) meaningful.
-    const MAX_KERNEL_THREADS: usize = 64;
-    let threads = threads.clamp(1, MAX_KERNEL_THREADS).min(sources.len());
-    if threads <= 1 {
-        let mut scratch = BfsScratch::new();
-        return sources.iter().map(|&s| scratch.run(adj, s)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, BfsStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = BfsScratch::new();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&source) = sources.get(i) else {
-                            break;
-                        };
-                        local.push((i, scratch.run(adj, source)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("BFS worker panicked"))
-            .collect()
-    });
-    // Scatter by source index: the cursor hands each index to exactly one
-    // worker, so every slot is written exactly once.
-    let mut out = vec![BfsStats::default(); sources.len()];
-    for (i, stats) in per_worker.into_iter().flatten() {
-        out[i] = stats;
-    }
-    out
+    fan_out(sources.len(), threads, BfsScratch::new, |scratch, i| {
+        scratch.run(adj, sources[i])
+    })
 }
 
 /// Closeness centrality of a single node, normalized by `n - 1` over the
@@ -443,8 +404,7 @@ pub fn eccentricity(graph: &Graph, node: NodeId) -> Option<usize> {
 }
 
 /// Exact diameter of the largest connected component (all-pairs BFS over
-/// a frozen [`CsrSnapshot`], sources fanned across the thread budget) —
-/// a thin wrapper over the [`path_metrics`] sweep.
+/// a frozen [`CsrSnapshot`], sources fanned across the thread budget).
 ///
 /// Returns `None` for an empty graph. When the graph is partitioned the
 /// diameter of the *largest* component (by node count, ties broken by
@@ -507,13 +467,9 @@ pub fn average_path_length(graph: &Graph) -> Option<f64> {
     let csr = CsrSnapshot::build(graph);
     let nodes = csr.live_nodes();
     let stats = parallel_bfs_from_sources(&csr, &nodes, thread_budget());
-    average_from_stats(&stats)
-}
-
-fn average_from_stats(stats: &[BfsStats]) -> Option<f64> {
     let mut total = 0u64;
     let mut pairs = 0u64;
-    for s in stats {
+    for s in &stats {
         total += s.total_distance;
         pairs += s.reached.saturating_sub(1) as u64; // reached minus the source
     }
@@ -522,62 +478,6 @@ fn average_from_stats(stats: &[BfsStats]) -> Option<f64> {
     } else {
         Some(total as f64 / pairs as f64)
     }
-}
-
-/// The distance metrics one all-sources BFS sweep yields.
-///
-/// Computed by [`path_metrics`] from a single component pass plus a
-/// single multi-source sweep over one CSR snapshot — callers needing both
-/// the diameter and the average path length (previously two independent
-/// component scans and two sweeps) get them for one traversal's cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathMetrics {
-    /// Diameter of the largest connected component (see [`diameter`]).
-    pub diameter: usize,
-    /// Average shortest path length over connected pairs; `None` when no
-    /// pair is connected (see [`average_path_length`]).
-    pub average_path_length: Option<f64>,
-    /// Number of connected components.
-    pub component_count: usize,
-    /// Size of the largest connected component.
-    pub largest_component_size: usize,
-}
-
-/// Computes [`PathMetrics`] — diameter, average path length and component
-/// shape — from one shared component pass and one all-sources BFS sweep
-/// over a single frozen snapshot. Returns `None` for an empty graph.
-///
-/// Equals calling [`diameter`], [`average_path_length`] and the
-/// `components` counting helpers separately, for roughly half the
-/// traversal cost (one snapshot, one component pass, one sweep — the
-/// `parallel_metrics` bench records ~1.8× vs the separate calls); call
-/// it when more than one of its fields is needed. Forward-looking API:
-/// no registered scenario consumes it yet (their reports are pinned to
-/// the individual entry points), so today it is exercised by tests and
-/// benches only.
-pub fn path_metrics(graph: &Graph) -> Option<PathMetrics> {
-    let csr = CsrSnapshot::build(graph);
-    let (component_count, largest_component_size, seed) =
-        crate::components::component_seed_scan(&csr)?;
-    // Largest-component membership from one O(largest) BFS; the scratch's
-    // marks serve as the membership set directly.
-    let mut membership = BfsScratch::new();
-    membership.run(&csr, seed);
-    let nodes = csr.live_nodes();
-    let stats = parallel_bfs_from_sources(&csr, &nodes, thread_budget());
-    let diameter = nodes
-        .iter()
-        .zip(&stats)
-        .filter(|(&n, _)| membership.contains(n))
-        .map(|(_, s)| s.eccentricity)
-        .max()
-        .unwrap_or(0);
-    Some(PathMetrics {
-        diameter,
-        average_path_length: average_from_stats(&stats),
-        component_count,
-        largest_component_size,
-    })
 }
 
 #[cfg(test)]
@@ -828,7 +728,6 @@ mod tests {
         let reference = (
             diameter(&g),
             average_path_length(&g),
-            path_metrics(&g),
             sampled_diameter(&g, 20, &mut StdRng::seed_from_u64(4)),
         );
         for budget in [2, 8] {
@@ -836,48 +735,11 @@ mod tests {
                 (
                     diameter(&g),
                     average_path_length(&g),
-                    path_metrics(&g),
                     sampled_diameter(&g, 20, &mut StdRng::seed_from_u64(4)),
                 )
             });
             assert_eq!(under_budget, reference, "budget={budget}");
         }
-    }
-
-    #[test]
-    fn path_metrics_agree_with_individual_metrics() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let (g, _) = random_regular(80, 4, &mut rng);
-        let combined = path_metrics(&g).unwrap();
-        assert_eq!(Some(combined.diameter), diameter(&g));
-        assert_eq!(combined.average_path_length, average_path_length(&g));
-        assert_eq!(
-            combined.component_count,
-            crate::components::component_count(&g)
-        );
-        assert_eq!(
-            combined.largest_component_size,
-            crate::components::largest_component_size(&g)
-        );
-        assert_eq!(path_metrics(&Graph::new()), None);
-    }
-
-    #[test]
-    fn path_metrics_on_partitioned_graph_restrict_diameter_correctly() {
-        // Same shape as the diameter regression test: 5-node star (the
-        // largest component, diameter 2) + 4-node path (diameter 3).
-        let (mut g, ids) = Graph::with_nodes(9);
-        for &leaf in &ids[1..5] {
-            g.add_edge(ids[0], leaf);
-        }
-        for w in ids[5..9].windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let metrics = path_metrics(&g).unwrap();
-        assert_eq!(metrics.diameter, 2, "largest component only");
-        assert_eq!(metrics.component_count, 2);
-        assert_eq!(metrics.largest_component_size, 5);
-        assert_eq!(metrics.average_path_length, average_path_length(&g));
     }
 
     #[test]

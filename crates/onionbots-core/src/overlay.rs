@@ -159,80 +159,19 @@ impl DdsrOverlay {
         true
     }
 
-    /// Removes a whole wave of nodes with *batched* repair: all victims go
-    /// down first, then the repair edge-insertions are coalesced, then a
-    /// **single prune pass** runs over the affected survivors (each pruned
-    /// once, in ascending id order) instead of once per victim. Returns the
-    /// number of nodes actually removed.
-    ///
-    /// This models a coordinated takedown (*Master of Puppets*-style
-    /// campaigns, the §VII-A sweeps, the `scale` scenario's churn waves)
-    /// and does `O(wave)` less pruning work than calling
-    /// [`Self::remove_node_with_repair`] per victim.
-    ///
-    /// **Semantics versus sequential removal.** For victims that are not
-    /// adjacent and whose repairs never push a survivor past `d_max`, the
-    /// result is identical to sequential removal. The two diverge when
-    /// victims are adjacent: sequentially, removing `a` first grafts repair
-    /// edges onto its neighbor `b`, and `b`'s own later removal then spreads
-    /// those second-hand edges further; in the batch, `a`–`b` knowledge dies
-    /// with the wave (a dead neighbor cannot accept repair edges), which
-    /// matches simultaneous takedowns — both bots are gone before either
-    /// repair runs. Pruning can also differ when victims share survivors:
-    /// the batch prunes each survivor once against its final degree rather
-    /// than once per incident victim.
-    pub fn remove_nodes<R: Rng + ?Sized>(&mut self, victims: &[NodeId], rng: &mut R) -> usize {
-        let mut neighborhoods: Vec<Vec<NodeId>> = Vec::with_capacity(victims.len());
-        let mut removed = 0usize;
-        for &v in victims {
-            if let Some(former) = self.graph.remove_node(v) {
-                removed += 1;
-                self.stats.nodes_repaired += 1;
-                neighborhoods.push(former);
-            }
-        }
-        // Coalesced repair: every pair of a victim's *surviving* former
-        // neighbors peers up (NoN knowledge), exactly as in the single-node
-        // protocol but without interleaved pruning.
-        for former in &neighborhoods {
-            for i in 0..former.len() {
-                if !self.graph.contains(former[i]) {
-                    continue;
-                }
-                for j in i + 1..former.len() {
-                    if self.graph.contains(former[j]) && self.graph.add_edge(former[i], former[j]) {
-                        self.stats.edges_added += 1;
-                    }
-                }
-            }
-        }
-        // Single prune pass per wave: each affected survivor sheds excess
-        // degree once, in ascending id order (deterministic by
-        // construction).
-        if self.config.pruning {
-            let mut affected: Vec<NodeId> = neighborhoods
-                .into_iter()
-                .flatten()
-                .filter(|&u| self.graph.contains(u))
-                .collect();
-            affected.sort_unstable();
-            affected.dedup();
-            for u in affected {
-                self.prune_node(u, rng);
-            }
-        }
-        removed
-    }
-
     /// Removes a whole wave with [shard-partitioned](crate::shard) repair
     /// and pruning: the coalesced repair edges go through one partitioned
     /// bulk insertion, and each owning shard then plans and applies its
     /// survivors' prune drops in parallel against frozen degrees, with the
     /// reverse half-edges drained per destination shard in a second
     /// parallel pass.
-    /// Semantics match [`Self::remove_nodes`] at the wave level (see
+    ///
+    /// This models a coordinated takedown (*Master of Puppets*-style
+    /// campaigns, the `scale` scenario's churn waves): all victims go down
+    /// before any repair runs, so adjacent victims relay no repair edge
+    /// through each other, and each affected survivor is pruned once (see
     /// [`sharded_wave_repair`](crate::shard::sharded_wave_repair) for the
-    /// documented frozen-degree divergence in pruning), the caller's RNG
+    /// documented frozen-degree divergence in pruning). The caller's RNG
     /// advances by exactly one draw, and output is byte-identical at any
     /// worker-thread count. Returns the number of nodes actually removed.
     pub fn remove_nodes_sharded<R: Rng + ?Sized>(
@@ -457,7 +396,7 @@ mod tests {
     #[test]
     fn batched_removal_equals_sequential_for_non_adjacent_victims() {
         // Two victims far apart in a 10-regular graph, with pruning off so
-        // the comparison isolates the repair coalescing: the batched wave
+        // the comparison isolates the repair coalescing: the sharded wave
         // must produce exactly the graph sequential removal produces.
         let (mut batched, ids, mut rng_a) = overlay(200, 10, false, 21);
         let (mut sequential, ids_s, mut rng_b) = overlay(200, 10, false, 21);
@@ -467,7 +406,8 @@ mod tests {
             !batched.graph().has_edge(a, b),
             "victims must be non-adjacent for this comparison"
         );
-        batched.remove_nodes(&[a, b], &mut rng_a);
+        let grid = crate::shard::ShardGrid::new(200, 10, 4);
+        batched.remove_nodes_sharded(&[a, b], &grid, &mut rng_a);
         sequential.remove_node_with_repair(a, &mut rng_b);
         sequential.remove_node_with_repair(b, &mut rng_b);
         assert_eq!(batched.graph(), sequential.graph());
@@ -503,30 +443,13 @@ mod tests {
         );
 
         let (mut batched, (p, a, b, q)) = make();
-        assert_eq!(batched.remove_nodes(&[a, b], &mut rng), 2);
+        let grid = crate::shard::ShardGrid::new(4, 2, 1);
+        assert_eq!(batched.remove_nodes_sharded(&[a, b], &grid, &mut rng), 2);
         assert!(
             !batched.graph().has_edge(p, q),
             "batched removal must not create edges through dead victims"
         );
         batched.graph().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn batched_removal_prunes_once_and_respects_d_max() {
-        let (mut ov, ids, mut rng) = overlay(300, 10, true, 22);
-        let victims: Vec<NodeId> = ids.iter().copied().take(60).collect();
-        let removed = ov.remove_nodes(&victims, &mut rng);
-        assert_eq!(removed, 60);
-        assert_eq!(ov.node_count(), 240);
-        assert!(
-            ov.graph().max_degree() <= ov.config().d_max,
-            "single prune pass must still enforce d_max (got {})",
-            ov.graph().max_degree()
-        );
-        assert!(is_connected(ov.graph()), "wave repair keeps DDSR connected");
-        ov.graph().check_invariants().unwrap();
-        // Re-removing the same wave is a no-op.
-        assert_eq!(ov.remove_nodes(&victims, &mut rng), 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! [`Graph::remove_edges_partitioned`]), with the reverse half-edges of
 //! each drop drained per destination shard in a second parallel pass.
 
-use onion_graph::budget::thread_budget;
+use onion_graph::budget::{fan_out, thread_budget, MAX_THREADS};
 use onion_graph::generators::random_regular;
 use onion_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -87,11 +87,6 @@ pub fn default_shards_for(n: usize) -> usize {
         DEFAULT_SHARDS
     }
 }
-
-/// Hard ceiling on shard workers, mirroring the BFS kernel's bound: an
-/// absurd caller-supplied budget must degrade to "merely pointless", not
-/// to a failed thread spawn.
-const MAX_SHARD_THREADS: usize = 64;
 
 /// A fixed partition of the id space `0..n` into disjoint contiguous
 /// NodeId ranges — the unit of parallel construction, repair partitioning
@@ -215,60 +210,23 @@ pub fn build_sharded_regular<R: Rng + ?Sized>(
     );
     let base = rng.next_u64(); // the ONE draw on the caller's stream
     let shards = grid.shards();
-    let blocks = run_on_shards(shards, |s| {
-        let len = grid.range(s).len();
-        let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(base, s));
-        random_regular(len, k, &mut shard_rng).0
-    });
-    let mut graph = Graph::assemble(
-        blocks
-            .into_iter()
-            .map(|block| block.expect("every shard slot is filled")),
+    let blocks = fan_out(
+        shards,
+        thread_budget(),
+        || (),
+        |_, s| {
+            let len = grid.range(s).len();
+            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(base, s));
+            random_regular(len, k, &mut shard_rng).0
+        },
     );
+    let mut graph = Graph::assemble(blocks);
     if shards > 1 {
         let mut merge_rng = StdRng::seed_from_u64(shard_stream_seed(base, shards));
         stitch_shards(&mut graph, grid, k, &mut merge_rng);
     }
     let ids = (0..n).map(NodeId).collect();
     (graph, ids)
-}
-
-/// Runs `f(shard)` for every shard, stealing shard indices across up to
-/// [`thread_budget`] scoped workers, and returns the results in shard
-/// order. Output never depends on the worker count: each shard's result
-/// lands in its slot by shard index.
-fn run_on_shards<T: Send>(shards: usize, f: impl Fn(usize) -> T + Sync) -> Vec<Option<T>> {
-    let threads = thread_budget().clamp(1, MAX_SHARD_THREADS).min(shards);
-    if threads <= 1 {
-        return (0..shards).map(|s| Some(f(s))).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let s = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        local.push((s, f(s)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(shards).collect();
-    for (s, value) in per_worker.into_iter().flatten() {
-        out[s] = Some(value);
-    }
-    out
 }
 
 /// Degree-preserving cross-shard stitching: ring swaps between each pair
@@ -363,9 +321,9 @@ pub struct WaveOutcome {
 
 /// Removes one takedown wave with shard-partitioned repair and pruning.
 ///
-/// Three phases, mirroring [`DdsrOverlay::remove_nodes`] semantics at the
-/// wave level (all victims die before any repair runs; each affected
-/// survivor is pruned once):
+/// Three phases, with simultaneous-takedown semantics at the wave level
+/// (all victims die before any repair runs, so a dead victim relays no
+/// repair edge; each affected survivor is pruned once):
 ///
 /// 1. **Takedown** (sequential): victims are removed and their former
 ///    neighborhoods collected.
@@ -383,16 +341,18 @@ pub struct WaveOutcome {
 ///    drop) and drops those half-edges from its own lists at once; the
 ///    reverse half-edges go to per-destination-shard outboxes that a
 ///    second parallel pass drains in ascending source-shard order.
-///    Unlike the sequential pass, one survivor's drops do not lower the
-///    degree another survivor sees — a documented divergence that keeps
-///    shards independent; each node still sheds enough edges on its own
-///    to return to `d_max`. An edge both endpoints drop counts once.
+///    Unlike per-victim pruning
+///    ([`DdsrOverlay::remove_node_with_repair`]), one survivor's drops do
+///    not lower the degree another survivor sees — a documented
+///    divergence that keeps shards independent; each node still sheds
+///    enough edges on its own to return to `d_max`. An edge both
+///    endpoints drop counts once.
 ///
 /// The wave advances the caller's RNG by exactly one `u64` draw, and all
 /// parallel work is keyed by shard — output is byte-identical at any
 /// thread count.
 ///
-/// [`DdsrOverlay::remove_nodes`]: crate::DdsrOverlay::remove_nodes
+/// [`DdsrOverlay::remove_node_with_repair`]: crate::DdsrOverlay::remove_node_with_repair
 /// [`highest_degree_index`]: crate::maintenance::highest_degree_index
 pub fn sharded_wave_repair<R: Rng + ?Sized>(
     graph: &mut Graph,
@@ -509,7 +469,7 @@ fn prune_affected(
 
 /// The worker budget for the partitioned graph passes.
 fn shard_threads() -> usize {
-    thread_budget().clamp(1, MAX_SHARD_THREADS)
+    thread_budget().clamp(1, MAX_THREADS)
 }
 
 #[cfg(test)]
@@ -717,32 +677,37 @@ mod tests {
             by_shard[grid.owner(u)].push(u);
         }
         let frozen: &Graph = graph;
-        let planned = run_on_shards(grid.shards(), |s| {
-            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
-            let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
-            for &u in &by_shard[s] {
-                let neighbors = frozen.neighbors(u).unwrap();
-                let mut degree = neighbors.len();
-                let mut remaining: Vec<(NodeId, usize)> = neighbors
-                    .iter()
-                    .map(|&v| (v, frozen.degree(v).unwrap_or(0)))
-                    .collect();
-                while degree > config.d_max && !remaining.is_empty() {
-                    let victim = crate::maintenance::reference_victim(
-                        &remaining,
-                        config.d_min,
-                        &mut shard_rng,
-                    )
-                    .unwrap();
-                    drops.push((u, victim));
-                    remaining.retain(|&(v, _)| v != victim);
-                    degree -= 1;
+        let planned = fan_out(
+            grid.shards(),
+            thread_budget(),
+            || (),
+            |_, s| {
+                let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+                let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
+                for &u in &by_shard[s] {
+                    let neighbors = frozen.neighbors(u).unwrap();
+                    let mut degree = neighbors.len();
+                    let mut remaining: Vec<(NodeId, usize)> = neighbors
+                        .iter()
+                        .map(|&v| (v, frozen.degree(v).unwrap_or(0)))
+                        .collect();
+                    while degree > config.d_max && !remaining.is_empty() {
+                        let victim = crate::maintenance::reference_victim(
+                            &remaining,
+                            config.d_min,
+                            &mut shard_rng,
+                        )
+                        .unwrap();
+                        drops.push((u, victim));
+                        remaining.retain(|&(v, _)| v != victim);
+                        degree -= 1;
+                    }
                 }
-            }
-            drops
-        });
+                drops
+            },
+        );
         let mut pruned = 0u64;
-        for drops in planned.into_iter().flatten() {
+        for drops in planned {
             for (u, victim) in drops {
                 if graph.remove_edge(u, victim) {
                     pruned += 1;
